@@ -12,6 +12,7 @@ from repro.experiments import (ablations, e1_dso_invocation,
                                e5_adaptive, e6_partitioning,
                                e7_gns_resolution, e8_recovery, e9_policy,
                                e10_load_scaling)
+from tests.util import check_golden, digest
 
 
 def test_e1_driver():
@@ -81,11 +82,24 @@ def test_e9_driver():
     assert "refused" in e9_policy.format_result(result)
 
 
+def test_e3_population_coda_matches_golden():
+    result = e3_end_to_end.run_end_to_end_experiment(
+        package_count=4, read_count=40, population=300)
+    coda = result["population"]
+    assert coda["browsers"] == 300 and coda["ok"] > 0
+    check_golden("e3.coda_300_browsers", digest(
+        {key: (value.state() if key == "latency" else value)
+         for key, value in coda.items()}))
+
+
 def test_e10_driver():
     result = e10_load_scaling.run_load_scaling_experiment(
         loads=(40.0, 160.0), request_count=150)
     e10_load_scaling.assert_shape(result)
     assert "replicated" in e10_load_scaling.format_result(result)
+    check_golden("e10.loads_40_160", digest(
+        [{key: (value.state() if key == "latency" else value)
+          for key, value in row.items()} for row in result["rows"]]))
 
 
 def test_a1_driver():

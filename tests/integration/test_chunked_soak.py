@@ -16,7 +16,8 @@ domain partitioning mid-transfer — judged by
 A third pair of tests pins trace-replay determinism: the same seed
 and fault schedule reproduce byte-identical LoadStats and downloader
 counters, for the jittered reference policy and for the legacy
-:class:`FixedRetry` discipline alike.
+:class:`FixedRetry` discipline alike.  Each fault arm's run digest is
+a committed golden (``tests/goldens.json``).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.sim.retry import ExponentialBackoff, FixedRetry, RetryBudget
 from repro.sim.topology import Topology
 from repro.workloads.packages import synthetic_file
 from repro.workloads.scenario import ClosedLoopScenario, Soak
+from tests.util import check_golden, run_digest
 
 PACKAGE = "/apps/devel/BigTarball"
 _FILE = "big.tar.gz"
@@ -134,7 +136,7 @@ def _run_soak(resume, fault, policy=None, budget_burst=16.0, seed=13):
 
 
 def test_crash_mid_transfer_completes_with_resume():
-    report, downloader, _gdn = _run_soak(resume=True, fault="crash")
+    report, downloader, gdn = _run_soak(resume=True, fault="crash")
     assert report.ok, report.failures
     # The fault really interrupted transfers, and resumption is what
     # carried them over it.
@@ -143,36 +145,44 @@ def test_crash_mid_transfer_completes_with_resume():
     assert report.stats.ok == CLIENTS * REQUESTS_EACH
     # Resumption re-fetched (almost) nothing.
     assert downloader.refetch_ratio() <= 0.1
+    check_golden("chunked_soak.crash_resume",
+                 _digest(report, downloader, gdn))
 
 
 def test_crash_mid_transfer_fails_without_resume():
     """Restart-from-zero re-fetches every verified chunk, each
     re-fetch charges the budget, and the budget runs dry."""
-    report, downloader, _gdn = _run_soak(resume=False, fault="crash")
+    report, downloader, gdn = _run_soak(resume=False, fault="crash")
     assert not report.ok
     failed = dict(report.failures)
     assert "transfer-completes" in failed
     assert "budget" in failed["transfer-completes"]
     assert downloader.budget_exhausted > 0
     assert downloader.resumes == 0
+    check_golden("chunked_soak.crash_restart",
+                 _digest(report, downloader, gdn))
 
 
 # -- partition-mid-transfer ---------------------------------------------------
 
 
 def test_partition_mid_transfer_completes_with_resume():
-    report, downloader, _gdn = _run_soak(resume=True, fault="partition")
+    report, downloader, gdn = _run_soak(resume=True, fault="partition")
     assert report.ok, report.failures
     assert downloader.resumes > 0
     assert report.stats.ok == CLIENTS * REQUESTS_EACH
     assert downloader.refetch_ratio() <= 0.1
+    check_golden("chunked_soak.partition_resume",
+                 _digest(report, downloader, gdn))
 
 
 def test_partition_mid_transfer_fails_without_resume():
-    report, downloader, _gdn = _run_soak(resume=False, fault="partition")
+    report, downloader, gdn = _run_soak(resume=False, fault="partition")
     assert not report.ok
     assert "transfer-completes" in dict(report.failures)
     assert downloader.budget_exhausted > 0
+    check_golden("chunked_soak.partition_restart",
+                 _digest(report, downloader, gdn))
 
 
 # -- trace-replay determinism -------------------------------------------------
@@ -186,6 +196,12 @@ def _fingerprint(report, downloader, gdn):
             downloader.resumes, downloader.bytes_fetched,
             downloader.bytes_refetched,
             downloader.budget.granted, downloader.budget.denied)
+
+
+def _digest(report, downloader, gdn):
+    return run_digest(report.stats, gdn.world.sim, gdn.world.network.meter,
+                      transfer=list(_fingerprint(report, downloader,
+                                                 gdn)[3:]))
 
 
 def test_faulted_transfer_replay_is_deterministic():

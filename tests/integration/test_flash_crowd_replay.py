@@ -16,6 +16,9 @@ Two guarantees around the GLS-lookup cache:
   retry policy serves no fewer requests than the legacy fixed-beat
   discipline while producing strictly fewer same-instant (10 ms
   bucket) retry collisions across the HTTPDs' GLS clients.
+
+Each arm's run digest (and the ``mixed_small.jsonl`` replay's) is a
+committed golden (``tests/goldens.json``).
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from repro.sim.topology import Level, Topology
 from repro.workloads.loadgen import LoadStats
 from repro.workloads.packages import synthetic_file
 from repro.workloads.scenario import TraceScenario, bundled_trace
+from tests.util import check_golden, run_digest
 
 #: The trace draws from 6 objects over a 2x2x1x2 topology (see
 #: ``src/repro/workloads/traces/README.md``).
@@ -37,10 +41,12 @@ OBJECTS = 6
 _FILE = "payload.bin"
 
 
-def _replay(gls_cache, retry_policy=None, loss=None):
-    """Replay the bundled flash-crowd trace; return the run
-    fingerprint, the deployment (for cache inspection), and the
-    merged GLS retry-send timestamps of the HTTPDs' UDP clients.
+def _replay(gls_cache, retry_policy=None, loss=None,
+            trace="flash_crowd_small.jsonl", objects=OBJECTS):
+    """Replay a bundled trace (the flash crowd by default); return the
+    run fingerprint (whose last field is the run digest), the
+    deployment (for cache inspection), and the merged GLS retry-send
+    timestamps of the HTTPDs' UDP clients.
 
     ``retry_policy`` is handed to the deployment (None = the legacy
     fixed discipline); ``loss=(probability, start, end)`` opens a
@@ -57,7 +63,7 @@ def _replay(gls_cache, retry_policy=None, loss=None):
     gdn.add_httpd("httpd-1", colocate_with="gos-1", binding_ttl=1.0)
     gdn.initial_sync()
     moderator = gdn.add_moderator("mod", "r0/c0/m0/s1")
-    names = ["/apps/flash/Pkg%d" % index for index in range(OBJECTS)]
+    names = ["/apps/flash/Pkg%d" % index for index in range(objects)]
 
     def publish():
         for index, name in enumerate(names):
@@ -102,17 +108,18 @@ def _replay(gls_cache, retry_policy=None, loss=None):
                 "/gdn" + name)
         return response.ok
 
-    scenario = TraceScenario.from_file(
-        bundled_trace("flash_crowd_small.jsonl"),
-        topology=gdn.world.topology)
+    scenario = TraceScenario.from_file(bundled_trace(trace),
+                                       topology=gdn.world.topology)
     stats = LoadStats(registry=gdn.world.metrics, prefix="replay")
     gdn.run(scenario.drive(gdn.world.sim, one_request,
                            rng=gdn.world.rng_for("flash-replay"),
                            stats=stats), limit=1e9)
     browser_for.close()
-    fingerprint = (stats.summary(), stats.latency.state(),
-                   gdn.world.sim.events_processed)
     retries = sorted(t for log in retry_logs for t in log)
+    fingerprint = (stats.summary(), stats.latency.state(),
+                   gdn.world.sim.events_processed,
+                   run_digest(stats, gdn.world.sim, gdn.world.network.meter,
+                              retries=retries))
     return fingerprint, gdn, retries
 
 
@@ -132,6 +139,7 @@ def test_cache_disabled_replay_is_byte_identical():
     assert summary["issued"] == 140
     assert summary["ok"] == 140
     assert summary["failed"] == 0
+    check_golden("flash_crowd_small.cache_off", first[3])
 
 
 def test_cache_on_serves_identically_with_fewer_lookups():
@@ -145,6 +153,16 @@ def test_cache_on_serves_identically_with_fewer_lookups():
     assert gdn_on.gls.total_requests() < gdn_off.gls.total_requests()
     hits = sum(cache.hits for cache in gdn_on.lookup_caches.values())
     assert hits > 0
+    check_golden("flash_crowd_small.cache_on", cached[3])
+
+
+def test_mixed_trace_replay_matches_golden():
+    """The mixed read/write corpus trace through the same uncached
+    deployment: its writes replay as listing fetches."""
+    fingerprint, _gdn, _retries = _replay(None, trace="mixed_small.jsonl",
+                                          objects=8)
+    assert fingerprint[0]["issued"] == 80
+    check_golden("mixed_small.cache_off", fingerprint[3])
 
 
 #: ISSUE 9's partition window: every same-site datagram vanishes for
@@ -178,3 +196,5 @@ def test_backoff_policy_desynchronizes_gls_retries_under_loss():
     # ... and, the point of the jitter: strictly fewer synchronized
     # same-instant retry sends during the outage.
     assert _collisions(jittered_retries) < _collisions(legacy_retries)
+    check_golden("flash_crowd_small.lossy_fixed_retry", legacy[3])
+    check_golden("flash_crowd_small.lossy_backoff", jittered[3])

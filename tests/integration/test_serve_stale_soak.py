@@ -22,6 +22,7 @@ from repro.sim.topology import Topology
 from repro.workloads.cohort import CohortScenario
 from repro.workloads.packages import synthetic_file
 from repro.workloads.scenario import Soak
+from tests.util import check_golden, run_digest
 
 PACKAGE = "/apps/devel/HotRelease"
 _FILE = "release.tar.gz"
@@ -91,6 +92,11 @@ def _run_soak(gls_cache):
     return report, gdn
 
 
+def _digest(report, gdn):
+    return run_digest(report.stats, gdn.world.sim, gdn.world.network.meter,
+                      count_events=False)
+
+
 def test_serve_stale_keeps_availability_during_gls_outage():
     report, gdn = _run_soak({"serve_stale": True,
                              "stale_holdoff": 10.0})
@@ -100,6 +106,7 @@ def test_serve_stale_keeps_availability_during_gls_outage():
                 for cache in gdn.lookup_caches.values())
     assert stale > 0
     assert report.stats.failed == 0
+    check_golden("serve_stale_soak.cache_on", _digest(report, gdn))
 
 
 def test_cache_off_fails_the_availability_invariant():
@@ -111,3 +118,4 @@ def test_cache_off_fails_the_availability_invariant():
     failed = dict(report.failures)
     assert "error rate" in failed["serve-stale-availability"]
     assert report.stats.failed > 0
+    check_golden("serve_stale_soak.cache_off", _digest(report, gdn))

@@ -15,6 +15,7 @@ from repro.analysis.telemetry import MetricsRegistry
 from repro.sim.deadlines import (FifoDeadlinePool, OrderedDeadlinePool,
                                  shared_pool)
 from repro.sim.kernel import Simulator
+from tests.util import check_golden, digest
 
 
 def _collector(order, sim, label):
@@ -114,6 +115,7 @@ def test_fifo_same_instant_expiries_interleave_exactly_like_timers():
     assert [label for label, _t in pooled] \
         == ["guard-a", "between", "guard-b"]
     assert all(t == 1.0 for _label, t in pooled)
+    check_golden("deadlines.fifo_tie_order", digest(pooled))
 
 
 def test_fifo_cancelled_middle_entry_is_skipped():
@@ -195,6 +197,7 @@ def test_ordered_same_instant_expiries_interleave_exactly_like_timers():
             if label.startswith("guard")] \
         == [i for i, (label, _t) in enumerate(reference)
             if label.startswith("guard")]
+    check_golden("deadlines.ordered_tie_order", digest(pooled))
 
 
 def test_ordered_pool_shelves_and_reclaims_on_undercut():

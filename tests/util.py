@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
-from typing import Dict, Generator, List, Optional
+import json
+import os
+import pathlib
+from typing import Any, Dict, Generator, List, Optional
 
 from repro.core.idl import mutating, read_only
 from repro.core.ids import ObjectId
@@ -159,3 +163,57 @@ class Counter(SemanticsSubobject):
 
     def restore_state(self, state: dict) -> None:
         self.count = state["count"]
+
+
+# -- golden digests -----------------------------------------------------------
+#
+# A golden pins a deterministic run as one sha256 digest committed in
+# ``tests/goldens.json``: a refactor that claims to keep behaviour
+# byte-identical must leave every digest unchanged.  Set
+# ``RECORD_GOLDENS=1`` to (re)write the digests a test run computes
+# instead of checking them -- only ever for a deliberate, reviewed
+# behaviour change.
+
+GOLDENS_PATH = pathlib.Path(__file__).with_name("goldens.json")
+
+
+def digest(payload: Any) -> str:
+    """sha256 of the canonical JSON of ``payload`` (sorted keys, compact
+    separators; floats print by ``repr``, so equal digests mean
+    bit-equal values)."""
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run_digest(stats, sim, meter=None, count_events: bool = True,
+               **extra: Any) -> str:
+    """Digest of one driven run: the :class:`LoadStats` summary and
+    latency-histogram state, the simulated clock, the traffic-meter
+    snapshot and (unless ``count_events`` is off) the kernel event
+    count, plus any ``extra`` fields.
+
+    ``count_events=False`` is for goldens shared by engines that
+    observe the same run through a different number of kernel events
+    (a cohort multiplexing its clients' timers, for instance)."""
+    payload = {"summary": stats.summary(),
+               "latency": stats.latency.state(),
+               "now": sim.now,
+               "traffic": meter.snapshot() if meter is not None else None}
+    if count_events:
+        payload["events"] = sim.events_processed
+    payload.update(extra)
+    return digest(payload)
+
+
+def check_golden(name: str, value: str) -> None:
+    """Assert ``value`` equals the committed golden ``name`` (or record
+    it under ``RECORD_GOLDENS=1``)."""
+    goldens = (json.loads(GOLDENS_PATH.read_text())
+               if GOLDENS_PATH.exists() else {})
+    if os.environ.get("RECORD_GOLDENS"):
+        goldens[name] = value
+        GOLDENS_PATH.write_text(json.dumps(goldens, indent=2,
+                                           sort_keys=True) + "\n")
+        return
+    assert name in goldens, "no golden recorded for %r" % name
+    assert value == goldens[name], "golden %r changed" % name

@@ -20,6 +20,7 @@ from repro.workloads.cohort import (AggregatedPopulation, CohortScenario,
                                     DiurnalProfile)
 from repro.workloads.loadgen import LoadStats
 from repro.workloads.scenario import ClosedLoopScenario, RequestMix
+from tests.util import check_golden, run_digest
 
 
 def drive(scenario, *, seed=7, rng_seed=1234, limit=1e9, networked=False):
@@ -72,6 +73,15 @@ def drive(scenario, *, seed=7, rng_seed=1234, limit=1e9, networked=False):
     return (stats.summary(), stats.latency.state(), elapsed), stats, world
 
 
+def observed_digest(scenario, **kwargs):
+    """Golden digest of one drive: everything the population observes
+    (stats, histogram, clock, traffic) but not the kernel event count,
+    which multiplexing the clients' timers changes."""
+    _fingerprint, stats, world = drive(scenario, **kwargs)
+    return run_digest(stats, world.sim, world.network.meter,
+                      count_events=False)
+
+
 def sites_of(world):
     return world.topology.sites
 
@@ -89,6 +99,8 @@ def test_equivalence_pin_quota_mode():
                             mix=RequestMix(**MIX), cohort_size=4,
                             equivalence=True)
     assert drive(reference)[0] == drive(cohort)[0]
+    check_golden("cohort.equivalence_quota", observed_digest(reference))
+    check_golden("cohort.equivalence_quota", observed_digest(cohort))
 
 
 def test_equivalence_pin_duration_mode():
@@ -97,6 +109,8 @@ def test_equivalence_pin_duration_mode():
     cohort = CohortScenario(7, 0.3, duration=5.0, mix=RequestMix(**MIX),
                             cohort_size=3, equivalence=True)
     assert drive(reference)[0] == drive(cohort)[0]
+    check_golden("cohort.equivalence_duration", observed_digest(reference))
+    check_golden("cohort.equivalence_duration", observed_digest(cohort))
 
 
 def test_equivalence_pin_networked_with_burst_delivery():
@@ -156,9 +170,15 @@ def test_equivalence_pin_networked_with_burst_delivery():
                                        rng=random.Random(99),
                                        stats=stats)), limit=1e9)
         return (stats.summary(), stats.latency.state(), elapsed,
-                world.network.meter.snapshot())
+                world.network.meter.snapshot(),
+                run_digest(stats, sim, world.network.meter,
+                           count_events=False))
 
-    assert run(scenario_factory(True)) == run(scenario_factory(False))
+    cohort = run(scenario_factory(True))
+    reference = run(scenario_factory(False))
+    assert cohort == reference
+    check_golden("cohort.equivalence_networked_burst", reference[4])
+    check_golden("cohort.equivalence_networked_burst", cohort[4])
 
 
 def test_equivalence_single_client_cohort():
@@ -166,6 +186,8 @@ def test_equivalence_single_client_cohort():
     cohort = CohortScenario(1, 0.2, requests_per_client=5,
                             cohort_size=1, equivalence=True)
     assert drive(reference)[0] == drive(cohort)[0]
+    check_golden("cohort.equivalence_single_client", observed_digest(reference))
+    check_golden("cohort.equivalence_single_client", observed_digest(cohort))
 
 
 # -- statistical mode ---------------------------------------------------------

@@ -16,6 +16,7 @@ from repro.workloads.scenario import (ClosedLoopScenario, HybridScenario,
                                       OpenLoopScenario, RequestMix, Soak,
                                       TraceEvent, TraceScenario, load_trace,
                                       record_stream, save_trace)
+from tests.util import check_golden, run_digest
 
 
 def _drive(sim, scenario, request, seed=1, stats=None):
@@ -902,15 +903,19 @@ def test_deadline_pool_trace_replay_matches_per_call_timers():
 
         scenario = TraceScenario.from_file(path, topology=world.topology)
         stats, elapsed = _drive(world.sim, scenario, request, seed=29)
-        return (stats.summary(), stats.latency.state(), elapsed,
-                client.retries_sent, client.timeouts_hit, world.now)
+        fingerprint = (stats.summary(), stats.latency.state(), elapsed,
+                       client.retries_sent, client.timeouts_hit, world.now)
+        return fingerprint, run_digest(
+            stats, world.sim, world.network.meter,
+            retries=client.retries_sent, timeouts=client.timeouts_hit)
 
-    pooled = one_run(True)
-    reference = one_run(False)
+    pooled, pooled_digest = one_run(True)
+    reference, _digest = one_run(False)
     assert pooled == reference
     assert pooled[0]["issued"] == 140
     assert pooled[3] > 0           # retries actually happened
     assert pooled[0]["failed"] > 0  # and some calls timed out for good
+    check_golden("guarded_udp_trace_replay.loss_50pct", pooled_digest)
 
 
 def test_loadgen_10k_guarded_calls_drain_pools_and_heap():
