@@ -5,22 +5,21 @@ in a particular software package and multiple machines are needed to
 handle such a load."
 
 Servers here are finite: each HTTPD has a worker pool and a fixed CPU
-service time per request.  A *population of browsers* (a closed-loop
-:class:`~repro.workloads.cohort.CohortScenario`, the paper's "very
-large number of people") hammers one popular package at increasing
-offered load, against
+service time per request.  A closed-loop *population of browsers* (the
+paper's "very large number of people") hammers one popular package at
+increasing offered load, against
 
 * a single access point backed by the only replica, and
 * an access point + replica in every region.
 
 The offered load stays the x-axis: a point's population is sized so
-``clients / think_time`` equals the offered rate.  At the default
-population (``offered × THINK_TIME`` browsers) the cohorts run in
-byte-identical *equivalence mode* — exactly the reference closed-loop
-clients, multiplexed — while a ``browsers=`` override in the
-hundred-thousands flips the same scenario into the O(1)-per-cohort
-statistical engine, extending the curve to populations the per-client
-engine cannot hold.
+``clients / think_time`` equals the offered rate.  The default
+population (``offered × THINK_TIME`` browsers) runs as per-client
+:class:`~repro.workloads.scenario.ClosedLoopScenario` generators,
+while a ``browsers=`` override in the hundred-thousands switches to
+the O(1)-per-cohort :class:`~repro.workloads.cohort.CohortScenario`,
+extending the curve to populations the per-client engine cannot
+hold.
 
 Reported per offered load: achieved throughput and mean/p95 response
 time.  Expected shape: the single server saturates at roughly
@@ -41,6 +40,7 @@ from ..sim.topology import Topology
 from ..workloads.cohort import CohortScenario
 from ..workloads.loadgen import LoadStats
 from ..workloads.packages import synthetic_file
+from ..workloads.scenario import ClosedLoopScenario
 
 __all__ = ["run_load_scaling_experiment", "format_result", "assert_shape"]
 
@@ -54,9 +54,8 @@ SERVICE_TIME = 0.040  # seconds -> one HTTPD saturates at ~100 req/s
 #: Mean browser think time at the default population size.
 THINK_TIME = 10.0
 
-#: Populations up to this size run the cohorts in byte-identical
-#: equivalence mode (the reference per-client replay); beyond it the
-#: O(1) statistical engine takes over.
+#: Populations up to this size run one generator per browser
+#: (ClosedLoopScenario); larger ones run as aggregated cohorts.
 EQUIVALENCE_MAX = 2048
 
 
@@ -98,11 +97,12 @@ def _run_deployment(replicate: bool, offered_load: float, seed: int,
 
     clients = (browsers if browsers is not None
                else max(1, round(offered_load * THINK_TIME)))
-    scenario = CohortScenario(clients, clients / offered_load,
-                              duration=request_count / offered_load,
-                              sites=gdn.world.topology.sites,
-                              label="e10-load",
-                              equivalence=clients <= EQUIVALENCE_MAX)
+    population = (ClosedLoopScenario if clients <= EQUIVALENCE_MAX
+                  else CohortScenario)
+    scenario = population(clients, clients / offered_load,
+                          duration=request_count / offered_load,
+                          sites=gdn.world.topology.sites,
+                          label="e10-load")
     # On the world registry: the latency histogram (O(1) streaming, no
     # sample list at 10^5-request scale) lives beside the HTTPD/GOS
     # counters this deployment bound.
@@ -126,7 +126,7 @@ def run_load_scaling_experiment(seed: int = 61,
                                 browsers: Optional[int] = None) -> Dict:
     """``browsers`` overrides the per-point population size (the think
     time stretches to keep the offered rate on the x-axis); pass e.g.
-    ``200_000`` to run the curve against a statistical cohort
+    ``200_000`` to run the curve against an aggregated cohort
     population no per-client engine could hold."""
     rows: List[dict] = []
     for offered in loads:

@@ -26,11 +26,11 @@ latency is the stats bundle's streaming histogram.
 
 A ``population=`` override appends a *flash-crowd coda* to the GDN
 leg: after the trace replay, the same deployment serves a closed-loop
-:class:`~repro.workloads.cohort.CohortScenario` browser population
-drawing from the same Zipf mix.  Small populations run in
-byte-identical equivalence mode; populations in the hundred-thousands
-flip to the O(1) statistical cohorts, extending the figure past what
-a per-client engine could hold.
+browser population drawing from the same Zipf mix.  Small populations
+run one :class:`~repro.workloads.scenario.ClosedLoopScenario`
+generator per browser; populations in the hundred-thousands run as
+O(1) :class:`~repro.workloads.cohort.CohortScenario` cohorts,
+extending the figure past what a per-client engine could hold.
 """
 
 from __future__ import annotations
@@ -48,15 +48,16 @@ from ..workloads.cohort import CohortScenario
 from ..workloads.loadgen import LoadStats
 from ..workloads.packages import PackageSpec, generate_corpus
 from ..workloads.population import ClientPopulation, RequestStream
-from ..workloads.scenario import RequestMix, TraceScenario
+from ..workloads.scenario import (ClosedLoopScenario, RequestMix,
+                                  TraceScenario)
 
 __all__ = ["run_end_to_end_experiment", "format_result"]
 
 #: Wall-clock length of the optional flash-crowd coda on the GDN leg.
 POPULATION_DURATION = 20.0
 
-#: Populations up to this size replay byte-identical per-client
-#: cohorts; larger ones use the O(1) statistical engine.
+#: Populations up to this size run one generator per browser
+#: (ClosedLoopScenario); larger ones run as aggregated cohorts.
 EQUIVALENCE_MAX = 2048
 
 
@@ -190,12 +191,12 @@ def _drive_population(gdn, corpus: List[PackageSpec], browsers: int,
     issues about ``target_requests`` over the drive, keeping the coda
     comparable across population sizes."""
     think = browsers * POPULATION_DURATION / target_requests
-    scenario = CohortScenario(browsers, think,
-                              duration=POPULATION_DURATION,
-                              sites=gdn.world.topology.sites,
-                              mix=RequestMix(len(corpus), alpha=1.0),
-                              label="e3-population",
-                              equivalence=browsers <= EQUIVALENCE_MAX)
+    population = (ClosedLoopScenario if browsers <= EQUIVALENCE_MAX
+                  else CohortScenario)
+    scenario = population(browsers, think, duration=POPULATION_DURATION,
+                          sites=gdn.world.topology.sites,
+                          mix=RequestMix(len(corpus), alpha=1.0),
+                          label="e3-population")
     stats = LoadStats(registry=gdn.world.metrics, prefix="e3-population")
 
     def one_request(arrival):
@@ -268,7 +269,7 @@ def run_end_to_end_experiment(seed: int = 3, package_count: int = 12,
                               read_count: int = 250,
                               population: int = 0) -> Dict:
     """``population`` > 0 adds the flash-crowd coda to the GDN leg —
-    pass e.g. ``100_000`` to drive the deployment with a statistical
+    pass e.g. ``100_000`` to drive the deployment with an aggregated
     browser population after the paired trace comparison."""
     corpus, stream = _workload(seed, package_count, read_count)
     rows = [

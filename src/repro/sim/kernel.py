@@ -27,6 +27,11 @@ accordingly:
   The two queues are merged by the global sequence number when a
   timer ties the current instant, so the documented ``(time, seq)``
   semantics are preserved exactly (see :class:`Simulator`).
+* There is **one** event loop: :meth:`Simulator.run` and
+  :meth:`Simulator.run_until_complete` are thin wrappers over a single
+  drain loop that stops on an event or a time limit (``step`` keeps
+  its own one-event body).  ``tests/sim/test_kernel_model.py`` checks
+  it against a naive sorted-list reference scheduler.
 * ``Event``/``Timeout``/``Process`` (and the ``Store``/``Resource``
   primitives) declare ``__slots__`` — no per-instance ``__dict__`` on
   the millions of short-lived objects a large run creates.
@@ -106,6 +111,7 @@ class Interrupt(Exception):
 
 
 _PENDING = object()
+_INF = float("inf")
 
 
 class Event:
@@ -660,7 +666,7 @@ class Simulator:
     pass, keeping the amortised cost of a cancellation O(1).  Run-queue
     entries are never cancelled (only pending timers are), so the run
     queue needs no invalidation machinery.  Compaction replaces the
-    heap list, so the execution loops re-read ``self._heap`` every
+    heap list, so the drain loop re-reads ``self._heap`` every
     iteration; the run queue is only ever mutated in place.
     """
 
@@ -675,6 +681,8 @@ class Simulator:
         self._timers_cancelled = 0
         self.peak_heap_size = 0
         self.peak_ready_size = 0
+        #: The stop event of an unbounded :meth:`run`: never triggered.
+        self._never = Event(self)
 
     # -- scheduling ---------------------------------------------------
 
@@ -841,11 +849,6 @@ class Simulator:
         self._discard_stale_head()
         return self._heap[0][0] if self._heap else float("inf")
 
-    # The event-processing body is deliberately duplicated inline in
-    # step() / run() / run_until_complete(): this is the hottest code
-    # in the repo and a shared helper would cost a Python call per
-    # event.  Keep the three copies textually identical.
-
     def step(self) -> None:
         """Process exactly one event (skipping cancelled timers).
 
@@ -889,82 +892,76 @@ class Simulator:
         When stopped by ``until`` the clock is advanced exactly to it,
         so follow-up ``run`` calls observe a consistent timeline.
         """
-        if until is not None and until < self.now:
+        if until is None:
+            self._drain(self._never, _INF)
+            return
+        if until < self.now:
             raise SimulationError("cannot run backwards in time")
-        ready = self._ready
-        # Re-read self._heap each iteration: cancellation may compact
-        # it (replacing the list) from inside an event callback.  The
-        # run queue is mutated in place only, so the local is safe.
-        while True:
-            heap = self._heap
-            head = heap[0] if heap else None
-            if head is not None and head[2] is None:
-                heappop(heap)
-                self._stale -= 1
-                continue
-            if ready:
-                if head is not None and head[0] <= self.now \
-                        and head[1] < ready[0][0]:
-                    heappop(heap)
-                    event = head[2]
-                else:
-                    event = ready.popleft()[1]
-            elif head is not None:
-                if until is not None and head[0] > until:
-                    self.now = until
-                    return
-                heappop(heap)
-                self.now = head[0]
-                event = head[2]
-            else:
-                break
-            if event._value is _PENDING:  # self-triggering (Timeout)
-                event._ok = True
-                event._value = event._auto_value
-                event._entry = None
-            callbacks = event.callbacks
-            event.callbacks = None
-            self._event_count += 1
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused:
-                raise event._value
-        if until is not None:
-            self.now = until
+        self._drain(self._never, until)
+        self.now = until
 
     def run_until_complete(self, process: Process,
-                           limit: float = float("inf")) -> Any:
+                           limit: float = _INF) -> Any:
         """Run until ``process`` finishes and return its value.
 
         ``limit`` guards against deadlocked protocols in tests: if the
         event queues drain or time passes ``limit`` first, a
         :class:`SimulationError` is raised.
         """
+        self._drain(process, limit)
+        if process._value is _PENDING:
+            raise SimulationError(
+                "process did not complete (deadlock or time limit)")
+        return process.value
+
+    def _drain(self, stop: Event, limit: float) -> None:
+        """Process events in ``(time, seq)`` order until ``stop`` is
+        triggered, or until nothing is left at or before ``limit``.
+
+        The one event loop behind :meth:`run` (whose ``stop`` is an
+        event nobody triggers) and :meth:`run_until_complete`.  On a
+        ``limit`` stop the clock stays at the last processed event.
+        """
+        if self.now > limit:
+            return
         ready = self._ready
-        # `process._value is _PENDING` inlines `not process.triggered`:
-        # this check runs once per processed event.
-        while process._value is _PENDING:
+        # Re-read self._heap each iteration: cancellation may compact
+        # it (replacing the list) from inside an event callback.  The
+        # run queue is mutated in place only, so the local is safe.
+        # `stop._value is pending` inlines `not stop.triggered`.
+        pending = _PENDING
+        while stop._value is pending:
             heap = self._heap
-            head = heap[0] if heap else None
-            if head is not None and head[2] is None:
-                heappop(heap)
-                self._stale -= 1
-                continue
-            if ready and self.now <= limit:
-                if head is not None and head[0] <= self.now \
-                        and head[1] < ready[0][0]:
-                    heappop(heap)
-                    event = head[2]
+            if ready:
+                if heap:
+                    head = heap[0]
+                    if head[2] is None:
+                        heappop(heap)
+                        self._stale -= 1
+                        continue
+                    # A timer that ties the current instant fires first
+                    # only if it was scheduled first (smaller sequence).
+                    if head[0] <= self.now and head[1] < ready[0][0]:
+                        heappop(heap)
+                        event = head[2]
+                    else:
+                        event = ready.popleft()[1]
                 else:
                     event = ready.popleft()[1]
-            elif head is not None and head[0] <= limit:
+            elif heap:
+                head = heap[0]
+                if head[2] is None:
+                    heappop(heap)
+                    self._stale -= 1
+                    continue
+                if head[0] > limit:
+                    return
                 heappop(heap)
                 self.now = head[0]
                 event = head[2]
             else:
-                raise SimulationError(
-                    "process did not complete (deadlock or time limit)")
-            if event._value is _PENDING:  # self-triggering (Timeout)
+                return
+            if event._value is pending:  # self-triggering (Timeout)
                 event._ok = True
                 event._value = event._auto_value
                 event._entry = None
@@ -975,4 +972,3 @@ class Simulator:
                 callback(event)
             if not event._ok and not event._defused:
                 raise event._value
-        return process.value

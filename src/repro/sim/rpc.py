@@ -31,9 +31,8 @@ timeouts with the simulator-wide shared pool.  A pooled expiry fires
 at exactly the ``(time, seq)`` position the per-call timer would have
 occupied (each call reserves a sequence number where it used to arm a
 timer), and a dead waiter's expiry passes silently — the observable
-semantics of the per-call guards, which remain available as the
-reference implementation (``UdpRpcClient(..., pooled=False)``, via
-:func:`_arm_deadline`).
+semantics of per-call guard timers.  The per-call-timer reference the
+pools are pinned against lives in the test suite.
 
 Envelope sizes are **memoised**: request and reply envelopes have a
 fixed dict shape, so their wire size is a precomputed constant plus
@@ -57,7 +56,7 @@ import itertools
 from typing import Any, Callable, Dict, Generator, Optional
 
 from .deadlines import FifoDeadlinePool, shared_pool
-from .kernel import Event, Simulator
+from .kernel import Event
 from .retry import FixedRetry, RetryPolicy, jitter_rng
 from .serde import CONTAINER_ITEM_OVERHEAD, SCALAR_SIZE, encoded_size
 from .transport import (Connection, ConnectionClosed, Host, TransportError,
@@ -161,31 +160,11 @@ def _expire_waiter(waiter: Event) -> None:
     The failure is pre-defused: if the waiter was already answered, or
     the waiting process died in the meantime (host crash), the expiry
     passes silently instead of crashing the simulation.  This is the
-    expiry action for both the pooled and the per-call guard paths.
+    expiry action of every RPC guard deadline.
     """
     if not waiter.triggered:
         waiter.defuse()
         waiter.fail(_DeadlineExpired())
-
-
-def _arm_deadline(sim: Simulator, waiter: Event, delay: float):
-    """Arm a dedicated guard timer that fails ``waiter`` on expiry.
-
-    The per-call-timer *reference implementation* of the guard
-    discipline — one heap push per call, cancelled on reply.  The hot
-    paths use deadline pools instead (:mod:`repro.sim.deadlines`);
-    this stays as the behavioural baseline the pooled path is pinned
-    byte-identical against (``UdpRpcClient(..., pooled=False)``).
-    Returns the timer so the caller can :meth:`Timeout.cancel` it once
-    the reply arrives.
-    """
-    deadline = sim.timeout(delay)
-
-    def expire(_event: Event) -> None:
-        _expire_waiter(waiter)
-
-    deadline.add_callback(expire)
-    return deadline
 
 
 class RpcContext:
@@ -626,13 +605,10 @@ class UdpRpcClient:
     order, so a guarded attempt costs a deque append and an O(1)
     cancel instead of any kernel heap traffic (backoff delays happen
     *between* attempts and never change the guard spacing).
-    ``pooled=False`` falls back to a dedicated guard timer per attempt
-    (:func:`_arm_deadline`): the reference implementation determinism
-    tests pin the pool against.
     """
 
     def __init__(self, host: Host, timeout: float = 0.5, retries: int = 3,
-                 pooled: bool = True, policy: Optional[RetryPolicy] = None):
+                 policy: Optional[RetryPolicy] = None):
         self.host = host
         self.sim = host.sim
         if policy is None:
@@ -653,9 +629,8 @@ class UdpRpcClient:
         #: actually sent (storm diagnosis); ``None`` keeps the hot
         #: path free of bookkeeping.
         self.retry_log: Optional[list] = None
-        self.deadline_pool = (FifoDeadlinePool(host.sim, self.timeout,
-                                               _expire_waiter)
-                              if pooled else None)
+        self.deadline_pool = FifoDeadlinePool(host.sim, self.timeout,
+                                              _expire_waiter)
         self._socket = host.udp_socket()
         self._pending: Dict[int, Event] = {}
         self._size_cache: Dict[str, int] = {}  # method -> envelope base
@@ -669,8 +644,7 @@ class UdpRpcClient:
         registry.counter(prefix + ".faults", fn=lambda: self.faults)
         registry.counter(prefix + ".budget_denied",
                          fn=lambda: self.budget_denied)
-        if self.deadline_pool is not None:
-            self.deadline_pool.bind_metrics(registry, prefix + ".deadlines")
+        self.deadline_pool.bind_metrics(registry, prefix + ".deadlines")
 
     def _jitter(self):
         """The policy's per-client jitter RNG, created on first use so
@@ -772,10 +746,7 @@ class UdpRpcClient:
                 self.retries_sent += 1
                 if self.retry_log is not None:
                     self.retry_log.append(self.sim.now)
-            if pool is not None:
-                guard = pool.add(waiter)
-            else:
-                guard = _arm_deadline(self.sim, waiter, self.timeout)
+            guard = pool.add(waiter)
             try:
                 value = yield waiter
             except _DeadlineExpired:
@@ -788,10 +759,7 @@ class UdpRpcClient:
                 raise
             finally:
                 # A successful call leaves nothing pending behind.
-                if pool is not None:
-                    pool.cancel(guard)
-                else:
-                    guard.cancel()
+                pool.cancel(guard)
             return value
         self.timeouts_hit += 1
         raise last_error

@@ -19,9 +19,8 @@ from __future__ import annotations
 from repro.gdn.deployment import GdnDeployment
 from repro.gdn.scenario import ReplicationScenario
 from repro.sim.topology import Topology
-from repro.workloads.cohort import CohortScenario
 from repro.workloads.packages import synthetic_file
-from repro.workloads.scenario import Soak
+from repro.workloads.scenario import ClosedLoopScenario, Soak
 from tests.util import check_golden, run_digest
 
 PACKAGE = "/apps/devel/HotRelease"
@@ -70,9 +69,9 @@ def _run_soak(gls_cache):
                                  % response.status)
         return True
 
-    scenario = CohortScenario(6, 2.0, duration=DRIVE,
-                              sites=gdn.world.topology.sites,
-                              label="serve-stale", equivalence=True)
+    scenario = ClosedLoopScenario(6, 2.0, duration=DRIVE,
+                                  sites=gdn.world.topology.sites,
+                                  label="serve-stale")
     soak = Soak(gdn.world, scenario, one_request,
                 rng=gdn.world.rng_for("serve-stale-soak"))
     # The GLS outage: every leaf directory node an HTTPD's GLS client

@@ -4,18 +4,21 @@ The contract under test: a pool keeps at most one kernel timer armed
 however many deadlines are pending, and pooling is *invisible* to
 event ordering — every expiry fires at exactly the ``(time, seq)``
 position a dedicated per-call Timeout would have occupied.  Several
-tests therefore run the same scenario twice, once with pooled
-deadlines and once with plain per-call timers, and require identical
-firing orders.
+tests therefore run the same scenario twice, once with a pool and once
+with the per-call-timer reference (``tests/util.PerCallTimerPool``),
+and require identical firing orders; the property tests at the end do
+so for random add/cancel/advance sequences.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.telemetry import MetricsRegistry
 from repro.sim.deadlines import (FifoDeadlinePool, OrderedDeadlinePool,
                                  shared_pool)
 from repro.sim.kernel import Simulator
-from tests.util import check_golden, digest
+from tests.util import PerCallTimerPool, check_golden, digest
 
 
 def _collector(order, sim, label):
@@ -85,32 +88,23 @@ def test_fifo_pool_rejects_negative_delay_but_allows_zero():
 # -- expiry order and (time, seq) exactness ---------------------------------
 
 
-def _fifo_tie_order(pooled):
+def _fifo_tie_order(make_pool):
     """Two same-instant guard expiries with an unrelated timer armed
     between them: the firing order must interleave by arming order."""
     sim = Simulator()
     order = []
-    if pooled:
-        pool = FifoDeadlinePool(sim, 1.0)
-        pool.add(_collector(order, sim, "guard-a"))
-        sim.timeout_at(1.0).add_callback(
-            lambda _e: order.append(("between", sim.now)))
-        pool.add(_collector(order, sim, "guard-b"))
-    else:
-        for label in ("guard-a", None, "guard-b"):
-            if label is None:
-                sim.timeout_at(1.0).add_callback(
-                    lambda _e: order.append(("between", sim.now)))
-            else:
-                cb = _collector(order, sim, label)
-                sim.timeout(1.0).add_callback(lambda _e, cb=cb: cb())
+    pool = make_pool(sim)
+    pool.add(_collector(order, sim, "guard-a"))
+    sim.timeout_at(1.0).add_callback(
+        lambda _e: order.append(("between", sim.now)))
+    pool.add(_collector(order, sim, "guard-b"))
     sim.run()
     return order
 
 
 def test_fifo_same_instant_expiries_interleave_exactly_like_timers():
-    pooled = _fifo_tie_order(pooled=True)
-    reference = _fifo_tie_order(pooled=False)
+    pooled = _fifo_tie_order(lambda sim: FifoDeadlinePool(sim, 1.0))
+    reference = _fifo_tie_order(lambda sim: PerCallTimerPool(sim, 1.0))
     assert pooled == reference
     assert [label for label, _t in pooled] \
         == ["guard-a", "between", "guard-b"]
@@ -146,7 +140,7 @@ def test_cancel_is_idempotent_and_noop_after_expiry():
     assert pool.live == 0
 
 
-def _ordered_tie_order(pooled):
+def _ordered_tie_order(make_pool):
     """Mixed-delay guards meeting at one instant, with unrelated
     timers wedged between their sequence numbers."""
     sim = Simulator()
@@ -158,25 +152,13 @@ def _ordered_tie_order(pooled):
     def driver():
         yield sim.timeout(0.5)
         # All of these meet at t = 2.0 with interleaved seqs.
-        if pooled:
-            pool = OrderedDeadlinePool(sim)
-            pool.add(_collector(order, sim, "guard-late-armed"), 1.5)
-            sim.timeout_at(2.0).add_callback(note("plain-1"))
-            pool.add(_collector(order, sim, "guard-2"), 1.5)
-            sim.timeout_at(2.0).add_callback(note("plain-2"))
-            # A shorter deadline arriving later: fires first overall.
-            pool.add(_collector(order, sim, "guard-early"), 1.0)
-        else:
-            for label, delay in (("guard-late-armed", 1.5), (None, None),
-                                 ("guard-2", 1.5), (None, None),
-                                 ("guard-early", 1.0)):
-                if label is None:
-                    sim.timeout_at(2.0).add_callback(
-                        note("plain-%d" % (len(order) + 1)))
-                else:
-                    cb = _collector(order, sim, label)
-                    sim.timeout(delay).add_callback(
-                        lambda _e, cb=cb: cb())
+        pool = make_pool(sim)
+        pool.add(_collector(order, sim, "guard-late-armed"), 1.5)
+        sim.timeout_at(2.0).add_callback(note("plain-1"))
+        pool.add(_collector(order, sim, "guard-2"), 1.5)
+        sim.timeout_at(2.0).add_callback(note("plain-2"))
+        # A shorter deadline arriving later: fires first overall.
+        pool.add(_collector(order, sim, "guard-early"), 1.0)
 
     sim.process(driver())
     sim.run()
@@ -184,19 +166,11 @@ def _ordered_tie_order(pooled):
 
 
 def test_ordered_same_instant_expiries_interleave_exactly_like_timers():
-    pooled = _ordered_tie_order(pooled=True)
-    # The unpooled reference names its plain timers by arrival position,
-    # so compare labels positionally rather than the capture closures.
+    pooled = _ordered_tie_order(OrderedDeadlinePool)
     assert [label for label, _t in pooled] == [
         "guard-early", "guard-late-armed", "plain-1", "guard-2", "plain-2"]
     assert [t for _label, t in pooled] == [1.5, 2.0, 2.0, 2.0, 2.0]
-    reference = _ordered_tie_order(pooled=False)
-    assert [t for _label, t in reference] == [t for _label, t in pooled]
-    # Guards fire in the same positions in both runs.
-    assert [i for i, (label, _t) in enumerate(pooled)
-            if label.startswith("guard")] \
-        == [i for i, (label, _t) in enumerate(reference)
-            if label.startswith("guard")]
+    assert pooled == _ordered_tie_order(PerCallTimerPool)
     check_golden("deadlines.ordered_tie_order", digest(pooled))
 
 
@@ -335,3 +309,65 @@ def test_ordered_pool_rejects_negative_delay_without_poisoning():
     pool.add(_collector(order, sim, "good"), 1.0)
     sim.run()
     assert [label for label, _t in order] == ["good"]
+
+
+# -- property: pools are indistinguishable from per-call timers --------------
+
+#: Delays and clock steps on a quarter grid: sums stay exact binary
+#: fractions, so deadlines, unrelated timers and ``run(until)`` stops
+#: keep landing on the very same instants.
+_DELAYS = (0.0, 0.25, 0.5, 1.0, 1.5)
+
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("add"), st.sampled_from(_DELAYS)),
+    st.tuples(st.just("cancel"), st.integers(0, 63)),
+    st.tuples(st.just("timer"), st.sampled_from(_DELAYS)),
+    st.tuples(st.just("event"), st.none()),
+    st.tuples(st.just("advance"), st.sampled_from((0.0, 0.25, 0.5, 1.0)))),
+    max_size=40)
+
+
+def _drive_pool(ops, pool_factory, fixed_delay=None):
+    """Replay ``ops`` against a pool, interleaved with unrelated timers
+    and same-instant events; return the firing log (payload label and
+    instant, in firing order) and every ``cancel`` result."""
+    sim = Simulator()
+    pool = pool_factory(sim)
+    log, handles, cancels = [], [], []
+    for index, (op, arg) in enumerate(ops):
+        label = "%s-%d" % (op, index)
+        if op == "add":
+            payload = _collector(log, sim, label)
+            handles.append(pool.add(payload) if fixed_delay is not None
+                           else pool.add(payload, arg))
+        elif op == "cancel":
+            if handles:
+                cancels.append(pool.cancel(handles[arg % len(handles)]))
+        elif op == "timer":
+            sim.timeout(arg).add_callback(
+                lambda _e, label=label: log.append((label, sim.now)))
+        elif op == "event":
+            event = sim.event()
+            event.add_callback(
+                lambda _e, label=label: log.append((label, sim.now)))
+            event.succeed()
+        else:
+            sim.run(until=sim.now + arg)
+    sim.run()
+    return log, cancels
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_OPS, delay=st.sampled_from(_DELAYS))
+def test_fifo_pool_expires_like_per_call_timers(ops, delay):
+    assert _drive_pool(ops, lambda sim: FifoDeadlinePool(sim, delay),
+                       fixed_delay=delay) \
+        == _drive_pool(ops, lambda sim: PerCallTimerPool(sim, delay),
+                       fixed_delay=delay)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_OPS)
+def test_ordered_pool_expires_like_per_call_timers(ops):
+    assert _drive_pool(ops, OrderedDeadlinePool) \
+        == _drive_pool(ops, PerCallTimerPool)

@@ -4,9 +4,10 @@ import pytest
 
 from repro.sim import rpc
 from repro.sim.rpc import (RpcChannel, RpcFault, RpcServer, RpcTimeout,
-                           UdpRpcClient, UdpRpcServer)
+                           UdpRpcClient, UdpRpcServer, _expire_waiter)
 from repro.sim.topology import Level, Topology
 from repro.sim.world import World
+from tests.util import PerCallTimerPool
 
 
 @pytest.fixture
@@ -611,9 +612,9 @@ def test_udp_guarded_calls_pool_timer_churn(world):
 
 def test_pooled_and_per_call_guards_are_byte_identical_under_loss(world):
     # The pooled client must replay *exactly* like the per-call-timer
-    # reference implementation — same completion times, same retry and
-    # timeout counts — even when heavy loss exercises every expiry
-    # path.  (The broader trace-replay pin lives in
+    # reference (tests/util.PerCallTimerPool) — same completion times,
+    # same retry and timeout counts — even when heavy loss exercises
+    # every expiry path.  (The broader trace-replay pin lives in
     # tests/workloads/test_scenario_engine.py.)
     def one_run(pooled):
         w = World(topology=Topology.balanced(2, 2, 2, 2), seed=3)
@@ -621,7 +622,10 @@ def test_pooled_and_per_call_guards_are_byte_identical_under_loss(world):
         a = w.host("client", "r0/c0/m0/s0")
         b = w.host("node", "r1/c0/m0/s0")
         _udp_server(w, b)
-        client = UdpRpcClient(a, timeout=0.4, retries=3, pooled=pooled)
+        client = UdpRpcClient(a, timeout=0.4, retries=3)
+        if not pooled:
+            client.deadline_pool = PerCallTimerPool(w.sim, client.timeout,
+                                                    _expire_waiter)
         trail = []
 
         def caller():

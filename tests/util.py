@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import os
 import pathlib
 from typing import Any, Dict, Generator, List, Optional
 
@@ -165,14 +164,40 @@ class Counter(SemanticsSubobject):
         self.count = state["count"]
 
 
+class PerCallTimerPool:
+    """Reference deadline pool: one dedicated kernel timer per deadline.
+
+    The guard discipline the deadline pools (:mod:`repro.sim.deadlines`)
+    must be indistinguishable from: ``add`` arms its own
+    :class:`~repro.sim.kernel.Timeout` (drawing its sequence number at
+    exactly the point a pool reserves one) and ``cancel`` withdraws it.
+    Same ``add``/``cancel`` surface as both pools -- ``delay`` is the
+    fixed delay of a FIFO pool or the per-entry delay of an ordered
+    one -- so it drops in as ``client.deadline_pool`` or beside a pool
+    in a comparison.
+    """
+
+    def __init__(self, sim, delay: Optional[float] = None, expire=None):
+        self.sim = sim
+        self.delay = delay
+        self._expire = expire if expire is not None else (lambda cb: cb())
+
+    def add(self, payload, delay: Optional[float] = None):
+        timer = self.sim.timeout(self.delay if delay is None else delay)
+        timer.add_callback(lambda _event: self._expire(payload))
+        return timer
+
+    def cancel(self, timer) -> bool:
+        return timer.cancel()
+
+
 # -- golden digests -----------------------------------------------------------
 #
 # A golden pins a deterministic run as one sha256 digest committed in
 # ``tests/goldens.json``: a refactor that claims to keep behaviour
-# byte-identical must leave every digest unchanged.  Set
-# ``RECORD_GOLDENS=1`` to (re)write the digests a test run computes
-# instead of checking them -- only ever for a deliberate, reviewed
-# behaviour change.
+# byte-identical must leave every digest unchanged.  Only a
+# deliberate, reviewed behaviour change edits that file (a failing
+# check prints the new digest).
 
 GOLDENS_PATH = pathlib.Path(__file__).with_name("goldens.json")
 
@@ -185,7 +210,7 @@ def digest(payload: Any) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def run_digest(stats, sim, meter=None, count_events: bool = True,
+def run_digest(stats, sim, meter, count_events: bool = True,
                **extra: Any) -> str:
     """Digest of one driven run: the :class:`LoadStats` summary and
     latency-histogram state, the simulated clock, the traffic-meter
@@ -198,7 +223,7 @@ def run_digest(stats, sim, meter=None, count_events: bool = True,
     payload = {"summary": stats.summary(),
                "latency": stats.latency.state(),
                "now": sim.now,
-               "traffic": meter.snapshot() if meter is not None else None}
+               "traffic": meter.snapshot()}
     if count_events:
         payload["events"] = sim.events_processed
     payload.update(extra)
@@ -206,14 +231,7 @@ def run_digest(stats, sim, meter=None, count_events: bool = True,
 
 
 def check_golden(name: str, value: str) -> None:
-    """Assert ``value`` equals the committed golden ``name`` (or record
-    it under ``RECORD_GOLDENS=1``)."""
-    goldens = (json.loads(GOLDENS_PATH.read_text())
-               if GOLDENS_PATH.exists() else {})
-    if os.environ.get("RECORD_GOLDENS"):
-        goldens[name] = value
-        GOLDENS_PATH.write_text(json.dumps(goldens, indent=2,
-                                           sort_keys=True) + "\n")
-        return
-    assert name in goldens, "no golden recorded for %r" % name
-    assert value == goldens[name], "golden %r changed" % name
+    """Assert ``value`` equals the committed golden ``name``."""
+    goldens = json.loads(GOLDENS_PATH.read_text())
+    assert goldens.get(name) == value, \
+        "golden %r is %s, the run gave %s" % (name, goldens.get(name), value)

@@ -16,7 +16,7 @@ from repro.workloads.scenario import (ClosedLoopScenario, HybridScenario,
                                       OpenLoopScenario, RequestMix, Soak,
                                       TraceEvent, TraceScenario, load_trace,
                                       record_stream, save_trace)
-from tests.util import check_golden, run_digest
+from tests.util import PerCallTimerPool, check_golden, run_digest
 
 
 def _drive(sim, scenario, request, seed=1, stats=None):
@@ -873,9 +873,10 @@ def test_deadline_pool_trace_replay_matches_per_call_timers():
     """The ISSUE 5 determinism pin: replaying the committed flash-crowd
     trace through *guarded* UDP calls (loss, retries, expiring guard
     timers) yields byte-identical LoadStats whether the guards run on
-    the pooled deadline subsystem or on dedicated per-call timers."""
+    the pooled deadline subsystem or on dedicated per-call timers
+    (tests/util.PerCallTimerPool)."""
     from repro.sim.topology import Level
-    from repro.sim.rpc import RpcTimeout
+    from repro.sim.rpc import RpcTimeout, _expire_waiter
     from repro.workloads.scenario import bundled_trace
 
     path = bundled_trace("flash_crowd_small.jsonl")
@@ -890,8 +891,10 @@ def test_deadline_pool_trace_replay_matches_per_call_timers():
         server = UdpRpcServer(server_host, 5300)
         server.register("lookup", lambda ctx, args: args["rank"])
         server.start()
-        client = UdpRpcClient(client_host, timeout=0.25, retries=2,
-                              pooled=pooled)
+        client = UdpRpcClient(client_host, timeout=0.25, retries=2)
+        if not pooled:
+            client.deadline_pool = PerCallTimerPool(world.sim, client.timeout,
+                                                    _expire_waiter)
 
         def request(arrival):
             try:
