@@ -10,20 +10,20 @@ almost never fires.  This module replaces the per-call timers with
 keeps at most *one* timer armed in the kernel heap — re-armed only
 when the earliest pending deadline changes.
 
-Two pool shapes, matching the structure of the clients:
+One implementation, :class:`_DeadlinePool`, keeps the pool's entries
+in its own ``(when, seq)`` heap; the two public shapes differ only in
+how a deadline's delay is given:
 
 * :class:`FifoDeadlinePool` — for clients whose every deadline uses
   one **fixed delay** (:class:`~repro.sim.rpc.UdpRpcClient`: a single
-  retry ``timeout`` per client).  Since simulation time is monotonic,
-  such deadlines expire in FIFO order, so the pool is a plain
-  :class:`collections.deque`: O(1) add, O(1) cancel, zero heap
-  traffic per call/retry.
+  retry ``timeout`` per client).  On a monotonic clock such deadlines
+  arrive in expiry order, so each push stays at the bottom of the heap
+  after one comparison and the armed timer is never undercut.
 * :class:`OrderedDeadlinePool` — for **mixed** delays
   (:meth:`RpcChannel.call(timeout=...) <repro.sim.rpc.RpcChannel
   .call>` and :meth:`Host.connect <repro.sim.transport.Host.connect>`
-  guards).  A small internal heap orders the pool's own entries; the
-  kernel still sees one timer.  One shared pool per simulator
-  (:func:`shared_pool`) serves all mixed-deadline guards.
+  guards).  One shared pool per simulator (:func:`shared_pool`)
+  serves all mixed-deadline guards.
 
 **Pooling is invisible to event ordering.**  Each ``add`` reserves a
 global sequence number (:meth:`~repro.sim.kernel.Simulator
@@ -50,6 +50,15 @@ of a dead or already-answered waiter passes silently — the pre-defuse
 discipline of the old per-call guards is preserved by the expiry
 callbacks themselves (see :func:`repro.sim.rpc._expire_waiter`).
 
+**An undercut timer is kept, not cancelled.**  When a new deadline
+undercuts the armed one, the superseded timer stays pending in the
+kernel heap at its reserved ``(time, seq)`` and stays recorded on its
+own entry; if that entry becomes the earliest again, the pool re-uses
+the timer instead of arming a new one (cancelling would blank its heap
+slot in place, and a later re-arm at the same reserved position would
+collide with the blanked entry).  A firing of any timer other than the
+currently armed one is ignored.
+
 Telemetry follows the repo's pull-only discipline: plain-int counters
 on the hot path, exposed as function-backed instruments via
 ``bind_metrics`` (pool depth, entries armed/cancelled/expired, and
@@ -59,8 +68,7 @@ pooling win).
 
 from __future__ import annotations
 
-from collections import deque
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, List, Optional
 
 from .kernel import SimulationError, Simulator, Timeout
@@ -77,23 +85,26 @@ def _invoke(callback: Callable[[], None]) -> None:
     callback()
 
 
-# A pending deadline is a plain 4-slot list — ``[when, seq, payload,
-# dead]`` — mirroring the kernel's own heap-entry idiom: on the hot
-# guarded-call path a list literal beats a class instantiation (no
-# ``__init__`` frame), and callers only ever treat the entry as an
-# opaque handle to pass back to :meth:`_DeadlinePool.cancel`.
-_WHEN, _SEQ, _PAYLOAD, _DEAD = range(4)
+# A pending deadline is a plain 5-slot list — ``[when, seq, payload,
+# dead, timer]`` — mirroring the kernel's own heap-entry idiom: on the
+# hot guarded-call path a list literal beats a class instantiation (no
+# ``__init__`` frame), lists order by ``(when, seq)`` in the pool heap
+# (seqs are unique, so the later slots are never compared), and
+# callers only ever treat the entry as an opaque handle to pass back
+# to :meth:`_DeadlinePool.cancel`.  ``timer`` is the kernel timer once
+# armed for the entry, re-used if the entry is armed again.
+_WHEN, _SEQ, _PAYLOAD, _DEAD, _TIMER = range(5)
 
 
 class _DeadlinePool:
-    """Shared machinery: the single armed kernel timer + accounting.
+    """Many deadlines in one ``(when, seq)`` heap, one armed timer.
 
-    Subclasses own the entry container and implement ``add`` plus the
-    head management in :meth:`_on_fire`.
+    The subclasses only say how a deadline's delay is given; both add
+    through :meth:`_push`.
     """
 
-    __slots__ = ("sim", "_expire", "_reserve", "_timer", "_armed_when",
-                 "_armed_seq", "_live", "armed_total", "cancelled_total",
+    __slots__ = ("sim", "_expire", "_reserve", "_heap", "_timer",
+                 "_armed_when", "_live", "armed_total", "cancelled_total",
                  "expired_total", "timer_arms", "timer_shelved")
 
     def __init__(self, sim: Simulator,
@@ -102,16 +113,19 @@ class _DeadlinePool:
         #: called with the entry payload when a live deadline expires.
         self._expire = expire if expire is not None else _invoke
         self._reserve = sim.reserve_seq  # bound once: one call per add
+        self._heap: List[list] = []
         self._timer: Optional[Timeout] = None
         self._armed_when = 0.0
-        self._armed_seq = -1
         self._live = 0
         self.armed_total = 0       # entries ever added
         self.cancelled_total = 0   # entries withdrawn before expiry
         self.expired_total = 0     # entries that fired
-        self.timer_arms = 0        # kernel timers (re-)armed
-        self.timer_shelved = 0     # armed timers superseded by an
-        #                            earlier deadline (ordered pool)
+        self.timer_arms = 0        # kernel timers armed
+        self.timer_shelved = 0     # armed timers undercut by an
+        #                            earlier deadline
+
+    def __len__(self) -> int:
+        return len(self._heap)
 
     # -- accounting ----------------------------------------------------
 
@@ -132,14 +146,30 @@ class _DeadlinePool:
                          fn=lambda: self.timer_shelved)
         registry.gauge(prefix + ".depth", fn=lambda: self._live)
 
-    # -- the client-facing O(1) cancel --------------------------------
+    # -- add and the client-facing O(1) cancel ---------------------------
+
+    def _push(self, when: float, payload: Any) -> list:
+        entry = [when, self._reserve(), payload, False, None]
+        heappush(self._heap, entry)
+        self._live += 1
+        self.armed_total += 1
+        if self._timer is None:
+            self._arm(entry)
+        elif when < self._armed_when:
+            # The new deadline undercuts the armed one (a tie keeps
+            # the armed timer: the new entry's reserved seq is
+            # larger) — the only case where an add touches the kernel
+            # heap while a timer is armed.
+            self.timer_shelved += 1
+            self._arm(entry)
+        return entry
 
     def cancel(self, entry: list) -> bool:
         """Withdraw a pending deadline; True if it was still pending.
 
-        O(1): the entry is only marked; the container discards it when
-        it surfaces.  Cancelling an expired (or already cancelled)
-        entry is a harmless no-op, mirroring :meth:`Timeout.cancel`.
+        O(1): the entry is only marked; the heap discards it when it
+        surfaces.  Cancelling an expired (or already cancelled) entry
+        is a harmless no-op, mirroring :meth:`Timeout.cancel`.
         """
         if entry[_DEAD]:
             return False
@@ -152,34 +182,69 @@ class _DeadlinePool:
 
     def _arm(self, entry: list) -> None:
         """Arm the kernel timer at the entry's reserved (time, seq)."""
-        self.timer_arms += 1
         self._armed_when = entry[_WHEN]
-        self._armed_seq = entry[_SEQ]
-        timer = self.sim.timeout_at(entry[_WHEN], seq=entry[_SEQ])
-        timer.add_callback(self._on_fire)
+        timer = entry[_TIMER]
+        if timer is None:
+            self.timer_arms += 1
+            timer = self.sim.timeout_at(entry[_WHEN], seq=entry[_SEQ])
+            timer.add_callback(self._on_fire)
+            entry[_TIMER] = timer
         self._timer = timer
 
-    def _expire_head(self, entry: list) -> None:
-        entry[_DEAD] = True
+    def _sweep(self) -> Optional[list]:
+        """Drop dead entries off the top; return the earliest live one.
+
+        When dead entries outnumber live ones (the kernel's compaction
+        rule) the heap is first rebuilt from its live entries in one
+        O(n) pass: a fast client cancels nearly every guard, and
+        popping each one through the heap would cost O(log n) apiece.
+        """
+        heap = self._heap
+        if self._live * 2 < len(heap):
+            heap[:] = [entry for entry in heap if not entry[_DEAD]]
+            heapify(heap)
+        while heap and heap[0][_DEAD]:
+            heappop(heap)
+        return heap[0] if heap else None
+
+    def _on_fire(self, event) -> None:
+        if event is not self._timer:
+            return  # an undercut timer whose entry died meanwhile
+        self._timer = None
+        head = self._sweep()
+        if head is None:
+            return
+        if head[_TIMER] is not event:
+            self._arm(head)
+            return
+        # The timer fired for the current live head: expire exactly
+        # this one entry, then re-arm for the next — possibly at the
+        # same instant, where the reserved seq slots the next expiry
+        # into the run order exactly where its own timer would have
+        # been.  The re-arm runs even if the expiry action raises, so
+        # a later run() still fires every remaining deadline.
+        heappop(self._heap)
+        head[_DEAD] = True
         self._live -= 1
         self.expired_total += 1
-        self._expire(entry[_PAYLOAD])
-
-    def _on_fire(self, _event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
+        try:
+            self._expire(head[_PAYLOAD])
+        finally:
+            head = self._sweep()
+            if head is not None:
+                self._arm(head)
 
 
 class FifoDeadlinePool(_DeadlinePool):
-    """Deadline pool for one fixed delay: a deque, no heap anywhere.
+    """Deadline pool for one fixed delay.
 
     All entries share ``delay``, so with monotonic simulation time
-    they expire in the order they were added — the pool is a FIFO
-    queue and the earliest pending deadline is always the head.  This
-    is the shape of :class:`~repro.sim.rpc.UdpRpcClient`: one retry
-    timeout per client, one guard per attempt.
+    they expire in the order they were added.  This is the shape of
+    :class:`~repro.sim.rpc.UdpRpcClient`: one retry timeout per
+    client, one guard per attempt.
     """
 
-    __slots__ = ("delay", "_entries")
+    __slots__ = ("delay",)
 
     def __init__(self, sim: Simulator, delay: float,
                  expire: Optional[Callable[[Any], None]] = None):
@@ -190,71 +255,22 @@ class FifoDeadlinePool(_DeadlinePool):
             raise SimulationError("negative delay: %r" % (delay,))
         super().__init__(sim, expire)
         self.delay = delay
-        self._entries: deque = deque()
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def add(self, payload: Any) -> list:
         """Register a deadline ``delay`` from now; returns the handle
         to :meth:`cancel` when the guarded operation completes."""
-        entry = [self.sim.now + self.delay, self._reserve(), payload, False]
-        self._entries.append(entry)
-        self._live += 1
-        self.armed_total += 1
-        if self._timer is None:
-            self._arm(entry)
-        return entry
-
-    def _on_fire(self, _event) -> None:
-        self._timer = None
-        entries = self._entries
-        while entries and entries[0][_DEAD]:
-            entries.popleft()
-        if not entries:
-            return
-        head = entries[0]
-        if head[_SEQ] == self._armed_seq:
-            # The timer fired for the current live head: expire exactly
-            # this one entry, then re-arm for the next — possibly at
-            # the same instant, where the reserved seq slots the next
-            # expiry into the run order exactly where its own timer
-            # would have been.
-            entries.popleft()
-            self._expire_head(head)
-            while entries and entries[0][_DEAD]:
-                entries.popleft()
-        if entries:
-            self._arm(entries[0])
+        return self._push(self.sim.now + self.delay, payload)
 
 
 class OrderedDeadlinePool(_DeadlinePool):
-    """Deadline pool for mixed delays: a small internal heap.
+    """Deadline pool for mixed delays, each given per ``add``.
 
-    Entries carry arbitrary delays, so the pool orders them in its own
-    ``(when, seq)`` heap; the kernel sees one *active* timer for the
-    earliest deadline.  When a new deadline undercuts the active one,
-    the superseded timer is not cancelled but **shelved** — left
-    pending in the kernel heap at its reserved ``(time, seq)`` — and
-    reclaimed verbatim if its deadline becomes the earliest again
-    (cancelling would blank its heap slot in place, and a later
-    re-arm at the same reserved position would collide with the
-    blanked entry).  An orphaned shelved timer fires as a no-op.
     Mixed-deadline guards are rare next to the UDP fast path (channel
-    calls with explicit timeouts, TCP connects), so both the pool
-    heap and the shelf stay small.
+    calls with explicit timeouts, TCP connects), so the pool heap and
+    the undercut timers left in the kernel heap stay small.
     """
 
-    __slots__ = ("_heap", "_shelf")
-
-    def __init__(self, sim: Simulator,
-                 expire: Optional[Callable[[Any], None]] = None):
-        super().__init__(sim, expire)
-        self._heap: List[list] = []
-        self._shelf: dict = {}  # reserved seq -> superseded armed Timeout
-
-    def __len__(self) -> int:
-        return len(self._heap)
+    __slots__ = ()
 
     def add(self, payload: Any, delay: float) -> list:
         """Register a deadline ``delay`` from now; returns the handle
@@ -265,60 +281,7 @@ class OrderedDeadlinePool(_DeadlinePool):
             # entry would poison the (simulator-wide) pool and crash
             # the next firing.  Same surface as sim.timeout(delay).
             raise SimulationError("negative delay: %r" % (delay,))
-        when = self.sim.now + delay
-        entry = [when, self._reserve(), payload, False]
-        heappush(self._heap, entry)
-        self._live += 1
-        self.armed_total += 1
-        timer = self._timer
-        if timer is None:
-            self._arm(entry)
-        elif when < self._armed_when:
-            # The new deadline undercuts the armed one (a tie keeps
-            # the armed timer: the new entry's reserved seq is
-            # larger): shelve the superseded timer and arm the new
-            # earliest — the only case where an add touches the
-            # kernel heap.
-            self._shelf[self._armed_seq] = timer
-            self.timer_shelved += 1
-            self._arm(entry)
-        return entry
-
-    def _arm(self, entry: list) -> None:
-        # Reclaim a shelved timer when it is armed for exactly the
-        # deadline it was originally created for.
-        timer = self._shelf.pop(entry[_SEQ], None)
-        if timer is not None:
-            self._armed_when = entry[_WHEN]
-            self._armed_seq = entry[_SEQ]
-            self._timer = timer
-            return
-        _DeadlinePool._arm(self, entry)
-
-    def _on_fire(self, event) -> None:
-        if event is not self._timer:
-            # An orphaned shelved timer (its deadline passed while a
-            # shorter one was armed and its pool entry died): drop it
-            # from the shelf and ignore the firing.
-            for seq, timer in self._shelf.items():
-                if timer is event:
-                    del self._shelf[seq]
-                    break
-            return
-        self._timer = None
-        heap = self._heap
-        while heap and heap[0][_DEAD]:
-            heappop(heap)
-        if not heap:
-            return
-        head = heap[0]
-        if head[_SEQ] == self._armed_seq:
-            heappop(heap)
-            self._expire_head(head)
-            while heap and heap[0][_DEAD]:
-                heappop(heap)
-        if heap:
-            self._arm(heap[0])
+        return self._push(self.sim.now + delay, payload)
 
 
 def shared_pool(sim: Simulator) -> OrderedDeadlinePool:

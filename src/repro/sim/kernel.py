@@ -57,7 +57,11 @@ accordingly:
   sequence number per logical deadline (:meth:`Simulator.reserve_seq`)
   so a pooled expiry fires at exactly the ``(time, seq)`` position a
   dedicated per-call :class:`Timeout` would have occupied.  The hot
-  guarded-call path then costs no heap traffic at all.
+  guarded-call path then costs no kernel-heap traffic at all.
+  :class:`BatchTimeout` applies the same reserved-seq idiom to a burst
+  of callbacks (network arrivals): one armed timer per instant of the
+  burst, every head armed as an ordinary reserved-seq
+  :class:`Timeout`.
 
 Typical use::
 
@@ -293,13 +297,13 @@ class BatchTimeout:
     can occupy a ``(time, seq)`` position strictly between two batch
     entries at the same instant, so consuming them inline back-to-back
     fires every callback at exactly the position a dedicated per-entry
-    :class:`Timeout` would have given it.  Entries at later instants
-    re-arm through :meth:`Simulator.timeout_at` with their reserved
-    sequence number, which preserves their positions exactly.
-
-    A head entry whose instant is *now* is admitted straight to the
-    run queue (:meth:`Simulator._enqueue_reserved`) — the same-instant
-    vector never touches the heap at all.
+    :class:`Timeout` would have given it.  Every head is armed through
+    ``Timeout(at=, seq=)`` with its reserved sequence number — a head
+    at the current instant included, which the drain loop merges with
+    the run queue by sequence number — so each group fires at exactly
+    its own position.  If a callback raises, the batch still re-arms
+    for the entries after it before the exception propagates, so a
+    later :meth:`Simulator.run` delivers them.
 
     Batch entries are not individually cancellable (network arrivals
     never are); cancel nothing or build per-entry :class:`Timeout`\\ s.
@@ -325,18 +329,7 @@ class BatchTimeout:
 
     def _arm(self) -> None:
         at, seq, _callback = self._entries[self._index]
-        sim = self.sim
-        if at <= sim.now:
-            # Same-instant head: run-queue admission at the reserved
-            # position — no heap traffic for an immediate batch.
-            event = Event(sim)
-            event._ok = True
-            event._value = None
-            event.add_callback(self._fire)
-            sim._enqueue_reserved(seq, event)
-        else:
-            timer = Timeout(sim, 0.0, at=at, seq=seq)
-            timer.add_callback(self._fire)
+        Timeout(self.sim, 0.0, at=at, seq=seq).add_callback(self._fire)
 
     def _fire(self, event: Event) -> None:
         # Consume the head entry, then every later entry sharing the
@@ -346,13 +339,15 @@ class BatchTimeout:
         index = self._index
         now = self.sim.now
         count = len(entries)
-        while index < count and entries[index][0] <= now:
-            callback = entries[index][2]
-            index += 1
-            self._index = index
-            callback(event)
-        if index < count:
-            self._arm()
+        try:
+            while index < count and entries[index][0] <= now:
+                callback = entries[index][2]
+                index += 1
+                self._index = index
+                callback(event)
+        finally:
+            if index < count:
+                self._arm()
 
 
 class Process(Event):
@@ -703,29 +698,6 @@ class Simulator:
             self.peak_heap_size = len(self._heap)
         return entry
 
-    def _enqueue_reserved(self, seq: int, event: Event) -> None:
-        """Admit a pre-triggered event to the run queue at a *reserved*
-        sequence position (:meth:`reserve_seq`).
-
-        The run queue is kept in ascending sequence order by
-        construction (every ``_enqueue`` draws a fresh, larger
-        number), so a reserved admission is only legal while the
-        reserved number is still newer than everything queued — i.e.
-        immediately after reserving, before any other event is
-        enqueued.  :class:`BatchTimeout` uses this to land a
-        same-instant batch head in the run queue without touching the
-        timer heap.  ``event`` must already carry its outcome
-        (``_ok``/``_value`` set); it is processed like any triggered
-        event.
-        """
-        ready = self._ready
-        if ready and ready[-1][0] >= seq:
-            raise SimulationError(
-                "reserved seq %d is older than the run-queue tail" % seq)
-        ready.append((seq, event))
-        if len(ready) > self.peak_ready_size:
-            self.peak_ready_size = len(ready)
-
     def reserve_seq(self) -> int:
         """Draw the next global sequence number without scheduling.
 
@@ -735,9 +707,12 @@ class Simulator:
         at a time via ``timeout_at(when, seq=reserved)``.  Each pooled
         expiry therefore fires at exactly the ``(time, seq)`` position
         a dedicated per-deadline :class:`Timeout` would have occupied,
-        so pooling is invisible to event ordering.  A reserved number
-        must be used at most once, and only for an instant that has
-        not already been passed in ``(time, seq)`` order.
+        so pooling is invisible to event ordering.  :class:`BatchTimeout`
+        reserves one number per callback of a burst the same way.  A
+        reserved number must be used at most once, and only for an
+        instant that has not already been passed in ``(time, seq)``
+        order; the current instant is fine, since the drain loop merges
+        such a timer with the run queue by sequence number.
         """
         return next(self._sequence)
 

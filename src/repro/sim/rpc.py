@@ -25,9 +25,10 @@ instead of arming one guard :class:`~repro.sim.kernel.Timeout` per
 call, each client registers its deadline with a pool that keeps a
 single kernel timer armed for the earliest pending deadline.
 :class:`UdpRpcClient` uses one fixed ``timeout``, so its deadlines
-expire in FIFO order and its pool is a deque — zero heap traffic per
-call/retry; :meth:`RpcChannel.call` registers its mixed per-call
-timeouts with the simulator-wide shared pool.  A pooled expiry fires
+expire in FIFO order and each call/retry stays at the bottom of its
+own pool's heap — no kernel-heap traffic per call/retry;
+:meth:`RpcChannel.call` registers its mixed per-call timeouts with
+the simulator-wide shared pool.  A pooled expiry fires
 at exactly the ``(time, seq)`` position the per-call timer would have
 occupied (each call reserves a sequence number where it used to arm a
 timer), and a dead waiter's expiry passes silently — the observable
@@ -602,9 +603,10 @@ class UdpRpcClient:
     Every attempt is guarded by a deadline from the client's own
     :class:`~repro.sim.deadlines.FifoDeadlinePool` — the policy's one
     fixed per-attempt ``timeout`` means deadlines expire in FIFO
-    order, so a guarded attempt costs a deque append and an O(1)
-    cancel instead of any kernel heap traffic (backoff delays happen
-    *between* attempts and never change the guard spacing).
+    order, so a guarded attempt costs a one-comparison push onto the
+    pool's own heap and an O(1) cancel instead of any kernel heap traffic
+    (backoff delays happen *between* attempts and never change the
+    guard spacing).
     """
 
     def __init__(self, host: Host, timeout: float = 0.5, retries: int = 3,

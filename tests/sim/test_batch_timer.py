@@ -3,13 +3,16 @@
 A :class:`BatchTimeout` carries many reserved-seq callbacks under one
 armed timer; the contract is that firing order and instants are
 exactly what dedicated per-entry :class:`Timeout` objects would have
-produced.  These tests pin that contract, including the run-queue
-admission path for same-instant batches.
+produced.  These tests pin that contract, including batches whose head
+is at the current instant; the property test at the end compares a
+batch with per-entry ``timeout_at`` timers on drawn schedules.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim.kernel import BatchTimeout, Event, SimulationError, Simulator
+from repro.sim.kernel import BatchTimeout, Event, Simulator
 
 
 def entries_for(sim, specs, log):
@@ -105,17 +108,14 @@ def test_same_instant_batch_admitted_to_run_queue():
 
     def spark():
         yield sim.timeout(1.0)
-        # Batch armed *at* the current instant: the head must go to
-        # the run queue, not the heap, and the whole vector fires now.
+        # Batch armed *at* the current instant: the whole vector fires
+        # now, before the process's own later timer.
         BatchTimeout(sim, entries_for(sim, [(1.0, "x"), (1.0, "y")], log))
-        heap_after = sim.heap_size
         yield sim.timeout(1.0)
-        return heap_after
 
-    process = sim.process(spark())
+    sim.process(spark())
     sim.run()
     assert log == [(1.0, "x"), (1.0, "y")]
-    assert process.value == 0  # never touched the heap
 
 
 def test_run_queue_order_preserved_around_same_instant_batch():
@@ -176,12 +176,110 @@ def test_pending_counts_down():
     assert batch.pending == 0
 
 
-def test_enqueue_reserved_rejects_stale_seq():
+def _raising_schedule(batched):
     sim = Simulator()
-    stale = sim.reserve_seq()
-    Event(sim).succeed()  # draws a newer seq into the run queue
-    event = Event(sim)
-    event._ok = True
-    event._value = None
-    with pytest.raises(SimulationError):
-        sim._enqueue_reserved(stale, event)
+    log = []
+
+    def boom(_event):
+        # A same-instant event queued before the raise draws a newer
+        # seq than the entries after it, so it must fire after them.
+        queued = sim.event()
+        queued.add_callback(lambda _e: log.append((sim.now, "queued")))
+        queued.succeed()
+        raise RuntimeError("callback exploded")
+
+    def note(tag):
+        return lambda _e: log.append((sim.now, tag))
+
+    specs = [(1.0, boom), (1.0, note("same-instant")), (2.0, note("later"))]
+    if batched:
+        BatchTimeout(sim, [[at, sim.reserve_seq(), callback]
+                           for at, callback in specs])
+    else:
+        for at, callback in specs:
+            sim.timeout_at(at).add_callback(callback)
+    with pytest.raises(RuntimeError, match="callback exploded"):
+        sim.run()
+    sim.run()
+    return log, sim.heap_size
+
+
+def test_raising_callback_does_not_strand_later_entries():
+    # A raising callback propagates out of run(), exactly as with
+    # per-entry timers, and a second run() still delivers the rest.
+    assert _raising_schedule(batched=True) \
+        == _raising_schedule(batched=False) \
+        == ([(1.0, "same-instant"), (1.0, "queued"), (2.0, "later")], 0)
+
+
+# -- property: a batch is indistinguishable from per-entry timers ------------
+
+#: Delays and clock steps on a quarter grid, so batch entries, foreign
+#: timers and ``run(until)`` stops keep landing on the same instants;
+#: a zero delay puts a batch head at the current instant.
+_DELAYS = (0.0, 0.25, 0.5, 1.0)
+
+_BATCH = st.lists(st.sampled_from(_DELAYS), min_size=1, max_size=6)
+
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("batch"), _BATCH),
+    st.tuples(st.just("later-batch"),
+              st.tuples(st.sampled_from(_DELAYS), _BATCH)),
+    st.tuples(st.just("timer"), st.sampled_from(_DELAYS)),
+    st.tuples(st.just("event"), st.none()),
+    st.tuples(st.just("advance"), st.sampled_from((0.0, 0.25, 0.5)))),
+    max_size=25)
+
+
+def _drive_batches(ops, batched):
+    """Replay ``ops``, building each burst either as one BatchTimeout or
+    as per-entry ``timeout_at`` timers; return the firing log.
+
+    A burst's delays are in send order (the order its seqs are
+    reserved), which differs from arrival order whenever they are not
+    sorted.  ``later-batch`` builds its burst from inside a foreign
+    timer callback, mid-drain, with same-instant events queued."""
+    sim = Simulator()
+    log = []
+
+    def note(label):
+        return lambda _e: log.append((label, sim.now))
+
+    def burst(label, delays):
+        specs = [(sim.now + delay, note("%s.%d" % (label, i)))
+                 for i, delay in enumerate(delays)]
+        if batched:
+            entries = [[at, sim.reserve_seq(), callback]
+                       for at, callback in specs]
+            entries.sort(key=lambda entry: (entry[0], entry[1]))
+            BatchTimeout(sim, entries)
+        else:
+            for at, callback in specs:
+                sim.timeout_at(at).add_callback(callback)
+
+    for index, (op, arg) in enumerate(ops):
+        label = "%s-%d" % (op, index)
+        if op == "batch":
+            burst(label, arg)
+        elif op == "later-batch":
+            delay, delays = arg
+            sim.timeout(delay).add_callback(
+                lambda _e, label=label, delays=delays: burst(label, delays))
+        elif op == "timer":
+            sim.timeout(arg).add_callback(note(label))
+        elif op == "event":
+            event = sim.event()
+            event.add_callback(note(label))
+            event.succeed()
+        else:
+            sim.run(until=sim.now + arg)
+    sim.run()
+    assert sim.heap_size == 0 and sim.ready_size == 0
+    return log
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_OPS)
+def test_batch_fires_like_per_entry_timers(ops):
+    assert _drive_batches(ops, batched=True) \
+        == _drive_batches(ops, batched=False)

@@ -182,12 +182,16 @@ def test_ordered_pool_shelves_and_reclaims_on_undercut():
     assert pool.timer_arms == 1
     pool.add(_collector(order, sim, "fast"), 1.0)
     # The shorter deadline undercut the armed timer: the superseded
-    # timer is shelved (still pending at its reserved position, to be
-    # reclaimed when "slow" becomes earliest again) and a new one is
-    # armed for "fast".
+    # timer stays pending at its reserved position, to be re-used when
+    # "slow" becomes earliest again, and a new one is armed for "fast".
     assert pool.timer_arms == 2
     assert pool.timer_shelved == 1
     assert sim.heap_size == 2
+    sim.run(until=5.0)
+    # "fast" fired and "slow" took back its own timer: nothing new in
+    # the kernel heap.
+    assert pool.timer_arms == 2
+    assert sim.heap_size == 1
     sim.run()
     assert [label for label, _t in order] == ["fast", "slow"]
     assert [t for _label, t in order] == [1.0, 10.0]
@@ -209,13 +213,38 @@ def test_ordered_pool_orphaned_shelved_timer_is_a_noop():
     pool.add(_collector(order, sim, "fast"), 1.0)   # shelves "doomed"
     pool.add(_collector(order, sim, "slow"), 10.0)
     pool.cancel(doomed)
+    assert (pool.timer_arms, pool.timer_shelved) == (2, 1)
+    sim.run(until=1.5)
+    # "fast" expired; "doomed" is dead, so "slow" got a timer of its
+    # own, and the undercut timer for "doomed" is still pending.
+    assert pool.timer_arms == 3
+    assert sim.heap_size == 2
+    sim.run(until=2.5)
+    # That timer fired at t=2 as a pure no-op.
+    assert order == [("fast", 1.0)]
+    assert sim.heap_size == 1
     sim.run()
-    # The shelved timer for "doomed" fired at t=2 as a pure no-op (its
-    # entry died); "fast" and "slow" expired normally around it.
     assert [label for label, _t in order] == ["fast", "slow"]
     assert pool.live == 0 and len(pool) == 0
-    assert not pool._shelf
+    assert (pool.timer_arms, pool.timer_shelved) == (3, 1)
     assert sim.heap_size == 0 and sim.stale_timer_count == 0
+
+
+def test_orphaned_timer_firing_leaves_the_armed_timer_in_place():
+    sim = Simulator()
+    pool = OrderedDeadlinePool(sim)
+    pool.cancel(pool.add(lambda: None, 2.0))  # its timer is orphaned
+    pool.add(lambda: None, 1.0)               # undercuts it
+    sim.run(until=1.5)                        # expires; pool empty
+    pool.cancel(pool.add(lambda: None, 2.0))  # armed for t=3.5, dead
+    sim.run(until=2.5)                        # the orphan fires at t=2
+    assert (pool.timer_arms, pool.timer_shelved) == (3, 1)
+    # The timer for t=3.5 is still the armed one, so a deadline at t=3
+    # undercuts it rather than finding the pool disarmed.
+    pool.add(lambda: None, 0.5)
+    assert (pool.timer_arms, pool.timer_shelved) == (4, 2)
+    sim.run()
+    assert pool.live == 0 and len(pool) == 0 and sim.heap_size == 0
 
 
 def test_ordered_pool_tie_keeps_armed_timer():
@@ -241,7 +270,8 @@ def test_dead_prefix_is_discarded_when_the_armed_timer_fires():
     for entry in entries:
         pool.cancel(entry)
     # All ten deadlines were cancelled, but lazily: the entries sit in
-    # the deque until the armed timer fires and sweeps the dead prefix.
+    # the pool heap until the armed timer fires and sweeps the dead
+    # prefix.
     assert len(pool) == 10 and pool.live == 0
     sim.run()
     assert fired == []
@@ -292,6 +322,47 @@ def test_expiry_callback_errors_surface_like_timer_callbacks():
         sim.run()
 
 
+def _raise_then_run(make_pool, fixed_delay):
+    """A raising expiry followed by deadlines at the same and a later
+    instant; return what a second run() fires, and what is left."""
+    sim = Simulator()
+    pool = make_pool(sim)
+    order = []
+
+    def add(payload, delay):
+        return pool.add(payload) if fixed_delay else pool.add(payload, delay)
+
+    def boom():
+        # Queued before the raise: a newer seq than the same-instant
+        # deadline after it, so it must fire after that deadline.
+        queued = sim.event()
+        queued.add_callback(lambda _e: order.append(("queued", sim.now)))
+        queued.succeed()
+        raise RuntimeError("expiry exploded")
+
+    add(boom, 1.0)
+    add(_collector(order, sim, "same-instant"), 1.0)
+    sim.timeout(0.5).add_callback(
+        lambda _e: add(_collector(order, sim, "later"), 1.0))
+    with pytest.raises(RuntimeError, match="expiry exploded"):
+        sim.run()
+    sim.run()
+    return order, sim.heap_size
+
+
+@pytest.mark.parametrize("make_pool, fixed_delay", [
+    (lambda sim: FifoDeadlinePool(sim, 1.0), True),
+    (OrderedDeadlinePool, False),
+], ids=["fifo", "ordered"])
+def test_raising_expiry_does_not_strand_later_deadlines(make_pool,
+                                                        fixed_delay):
+    reference = _raise_then_run(lambda sim: PerCallTimerPool(sim, 1.0),
+                                fixed_delay)
+    assert reference == ([("same-instant", 1.0), ("queued", 1.0),
+                          ("later", 1.5)], 0)
+    assert _raise_then_run(make_pool, fixed_delay) == reference
+
+
 def test_ordered_pool_rejects_negative_delay_without_poisoning():
     # Regression: a negative delay used to mutate the pool (heap entry
     # + live count) before the kernel arm raised, stranding a
@@ -330,7 +401,8 @@ _OPS = st.lists(st.one_of(
 def _drive_pool(ops, pool_factory, fixed_delay=None):
     """Replay ``ops`` against a pool, interleaved with unrelated timers
     and same-instant events; return the firing log (payload label and
-    instant, in firing order) and every ``cancel`` result."""
+    instant, in firing order) and every ``cancel`` result.  Nothing may
+    be left pending once the final ``run()`` returns."""
     sim = Simulator()
     pool = pool_factory(sim)
     log, handles, cancels = [], [], []
@@ -354,6 +426,9 @@ def _drive_pool(ops, pool_factory, fixed_delay=None):
         else:
             sim.run(until=sim.now + arg)
     sim.run()
+    if not isinstance(pool, PerCallTimerPool):
+        assert len(pool) == 0 and pool.live == 0
+    assert sim.heap_size == 0 and sim.stale_timer_count == 0
     return log, cancels
 
 
