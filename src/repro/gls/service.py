@@ -23,6 +23,11 @@ from .tree import GlsTree
 
 __all__ = ["GlsClient", "GlsError"]
 
+#: The stub's default UDP discipline: per-attempt timeout (simulated
+#: seconds) and retries, unless a ``retry_policy`` replaces it.
+UDP_TIMEOUT = 8.0
+UDP_RETRIES = 2
+
 
 class GlsError(Exception):
     """Raised when a GLS operation fails."""
@@ -33,20 +38,20 @@ class GlsClient:
 
     def __init__(self, world: World, host: Host, tree: GlsTree,
                  auth_key: Optional[bytes] = None,
-                 timeout: float = 8.0, retries: int = 2,
                  retry_policy=None):
         """``retry_policy`` (a :class:`~repro.sim.retry.RetryPolicy`)
-        replaces the fixed ``timeout``/``retries`` discipline of the
-        stub's UDP client — e.g. jittered exponential backoff so a
-        partition heal is not met by a synchronized retry wave."""
+        replaces the fixed :data:`UDP_TIMEOUT`/:data:`UDP_RETRIES`
+        discipline of the stub's UDP client — e.g. jittered exponential
+        backoff so a partition heal is not met by a synchronized retry
+        wave."""
         self.world = world
         self.host = host
         self.tree = tree
         self.auth_key = auth_key
         self.transport = tree.transport
         self.leaf: NodeHandle = tree.leaf_handle(host.site)
-        self._client = UdpRpcClient(host, timeout=timeout, retries=retries,
-                                    policy=retry_policy)
+        self._client = UdpRpcClient(host, timeout=UDP_TIMEOUT,
+                                    retries=UDP_RETRIES, policy=retry_policy)
         self._rng = world.rng_for("gls-client-%s" % host.name)
         self.lookups = 0
         self.registrations = 0

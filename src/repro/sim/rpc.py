@@ -13,6 +13,15 @@ Two flavours, matching the paper's split:
   with timeout/retry, used by the Globe Location Service (§6.3 of the
   paper: "For efficiency reasons this is based on UDP").
 
+Both transports share one request/reply core: one reply matcher
+(:func:`_settle`), one teardown of parked waiters
+(:func:`_fail_pending`) and one fault-reply envelope
+(:func:`_fault_reply`).  They differ only where the networks differ:
+a datagram may be lost, so :class:`UdpRpcClient` retries under a
+:class:`~repro.sim.retry.RetryPolicy`; a connection is reliable, so a
+channel never retries — a channel call that times out raises
+:class:`RpcTimeout`, and re-issuing it is the caller's decision.
+
 Handlers are registered per method name and receive
 ``(context, args)``.  A handler may be a plain function or a generator
 (simulation process), so servers can perform further simulated I/O
@@ -58,7 +67,7 @@ from typing import Any, Callable, Dict, Generator, Optional
 
 from .deadlines import FifoDeadlinePool, shared_pool
 from .kernel import Event
-from .retry import FixedRetry, RetryPolicy, jitter_rng
+from .retry import FixedRetry, RetryPolicy
 from .serde import CONTAINER_ITEM_OVERHEAD, SCALAR_SIZE, encoded_size
 from .transport import (Connection, ConnectionClosed, Host, TransportError,
                         UdpSocket)
@@ -99,13 +108,6 @@ _REPLY_OK_BASE = (len("id") + len("ok") + len("value")
                   + SCALAR_SIZE + 1 + 3 * 2 * _ITEM)
 _REPLY_ERR_BASE = (len("id") + len("ok") + len("error")
                    + SCALAR_SIZE + 1 + 3 * 2 * _ITEM)
-
-
-def _request_size(method: str, src: str, args_size: int) -> int:
-    """Encoded size of a request envelope, measuring only ``method``
-    and ``src`` (``args`` was measured once by the caller)."""
-    return (_REQUEST_BASE + encoded_size(method) + encoded_size(src)
-            + args_size)
 
 
 def _request_base(cache: Dict[str, int], method: str, src: str) -> int:
@@ -166,6 +168,42 @@ def _expire_waiter(waiter: Event) -> None:
     if not waiter.triggered:
         waiter.defuse()
         waiter.fail(_DeadlineExpired())
+
+
+def _settle(pending: Dict[int, Event], reply: dict) -> None:
+    """Hand a reply to the waiter parked under its request id.
+
+    A reply nobody waits for any more (a late answer to a timed-out
+    attempt) is dropped; a fault reply fails the waiter with
+    :class:`RpcFault`.
+    """
+    waiter = pending.pop(reply.get("id"), None)
+    if waiter is None or waiter.triggered:
+        return
+    if reply.get("ok"):
+        waiter.succeed(reply.get("value"))
+    else:
+        kind, message = reply.get("error", ("RpcError", "?"))
+        waiter.fail(RpcFault(kind, message))
+
+
+def _fail_pending(pending: Dict[int, Event], message: str) -> None:
+    """Fail every parked waiter with :class:`ConnectionClosed` and
+    forget them: no reply can reach them any more.
+
+    Pre-defused, so a waiter whose calling process already died (host
+    crash) passes silently instead of crashing the simulation.
+    """
+    for waiter in pending.values():
+        if not waiter.triggered:
+            waiter.defuse()
+            waiter.fail(ConnectionClosed(message))
+    pending.clear()
+
+
+def _fault_reply(request_id: Any, kind: str, message: str) -> dict:
+    """The reply envelope of a request that failed on the server."""
+    return {"id": request_id, "ok": False, "error": (kind, message)}
 
 
 class RpcContext:
@@ -255,14 +293,11 @@ class RpcServer:
         if self.channel_factory is not None:
             try:
                 conn = yield from self.channel_factory(conn)
-            except (TransportError, Exception) as exc:
+            except ConnectionClosed:
+                return
+            except Exception:
                 # Handshake failures (bad certs etc.) terminate service.
-                if isinstance(exc, ConnectionClosed):
-                    return
-                try:
-                    conn.close()
-                except Exception:
-                    pass
+                conn.close()
                 return
         while True:
             try:
@@ -290,8 +325,7 @@ class RpcServer:
         ctx = RpcContext(src_host=request.get("src", "?"),
                          peer_principal=getattr(conn, "peer_principal", None))
         if handler is None:
-            reply = {"id": request_id, "ok": False,
-                     "error": ("NoSuchMethod", method)}
+            reply = _fault_reply(request_id, "NoSuchMethod", method)
         else:
             try:
                 value = handler(ctx, request.get("args", {}))
@@ -299,13 +333,12 @@ class RpcServer:
                     value = yield from value
                 reply = {"id": request_id, "ok": True, "value": value}
             except Exception as exc:  # noqa: BLE001 - faults cross the wire
-                reply = {"id": request_id, "ok": False,
-                         "error": (type(exc).__name__, str(exc))}
-        self.requests_served += 1
+                reply = _fault_reply(request_id, type(exc).__name__, str(exc))
         try:
             conn.send(reply, size=_reply_size(reply))
         except ConnectionClosed:
-            pass
+            return  # the caller is gone: nothing was served
+        self.requests_served += 1
 
 
 class RpcChannel:
@@ -316,6 +349,10 @@ class RpcChannel:
     Out-of-order replies are matched to callers by request id.
     """
 
+    #: A channel never retries; kept so retry tallies can sum every
+    #: RPC client alike.
+    retries_sent = 0
+
     def __init__(self, host: Host, conn):
         self.host = host
         self.conn = conn
@@ -323,13 +360,11 @@ class RpcChannel:
         self.calls = 0
         self.timeouts = 0
         self.faults = 0
-        self.retries_sent = 0
         self._pending: Dict[int, Event] = {}
         self._size_cache: Dict[str, int] = {}  # method -> envelope base
         # Guarded calls register their mixed per-call timeouts with the
         # simulator-wide pool: one armed kernel timer for all of them.
         self._deadlines = shared_pool(host.sim)
-        self._jitter_rng = None  # lazily seeded, policy-guarded calls only
         self._dispatcher = host.spawn(self._dispatch_loop())
 
     def bind_metrics(self, registry, prefix: str) -> None:
@@ -339,8 +374,6 @@ class RpcChannel:
         registry.counter(prefix + ".calls", fn=lambda: self.calls)
         registry.counter(prefix + ".timeouts", fn=lambda: self.timeouts)
         registry.counter(prefix + ".faults", fn=lambda: self.faults)
-        registry.counter(prefix + ".retries",
-                         fn=lambda: self.retries_sent)
 
     @classmethod
     def open(cls, host: Host, dst: Host, port: int,
@@ -357,43 +390,25 @@ class RpcChannel:
             try:
                 reply = yield self.conn.recv()
             except ConnectionClosed:
-                for event in self._pending.values():
-                    if not event.triggered:
-                        event.fail(ConnectionClosed("channel closed"))
-                self._pending.clear()
+                _fail_pending(self._pending, "channel closed")
                 return
-            waiter = self._pending.pop(reply.get("id"), None)
-            if waiter is None or waiter.triggered:
-                continue
-            if reply.get("ok"):
-                waiter.succeed(reply.get("value"))
-            else:
-                kind, message = reply.get("error", ("RpcError", "?"))
-                waiter.fail(RpcFault(kind, message))
+            _settle(self._pending, reply)
 
     def call(self, method: str, args: Optional[dict] = None,
-             size: Optional[int] = None, timeout: Optional[float] = None,
-             policy: Optional[RetryPolicy] = None
-             ) -> Generator[Event, Any, Any]:
+             timeout: Optional[float] = None) -> Generator[Event, Any, Any]:
         """``value = yield from channel.call("method", {...})``.
 
-        With ``policy=`` the call is guarded per attempt by the
-        policy's timeout and re-issued on :class:`RpcTimeout` under
-        its backoff/budget discipline (an explicit ``timeout=``
-        overrides the per-attempt guard).  Without a policy the
-        single-shot behaviour is unchanged.
+        The connection is reliable, so a channel never retries.  With
+        ``timeout=`` the call is guarded by a deadline and raises
+        :class:`RpcTimeout` when it expires; re-issuing a timed-out
+        call is the caller's decision.
         """
-        if policy is not None:
-            value = yield from self._call_with_policy(method, args, size,
-                                                      timeout, policy)
-            return value
         request_id = next(_request_ids)
         args = args if args is not None else {}
         request = {"id": request_id, "method": method,
                    "args": args, "src": self.host.name}
-        if size is None:
-            size = (_request_base(self._size_cache, method, self.host.name)
-                    + encoded_size(args))
+        size = (_request_base(self._size_cache, method, self.host.name)
+                + encoded_size(args))
         self.calls += 1
         waiter = self.sim.event()
         self._pending[request_id] = waiter
@@ -403,18 +418,11 @@ class RpcChannel:
             # A synchronous send failure (closed or partitioned
             # connection) means no reply can ever match this waiter;
             # leaving it registered would make the dispatcher's
-            # shutdown sweep fail an event nobody waits on, which the
-            # kernel reports as an unhandled failure.
+            # shutdown sweep fail an event nobody waits on.
             self._pending.pop(request_id, None)
             raise
-        if timeout is None:
-            try:
-                value = yield waiter
-            except RpcFault:
-                self.faults += 1
-                raise
-            return value
-        guard = self._deadlines.add(lambda: _expire_waiter(waiter), timeout)
+        guard = (None if timeout is None else
+                 self._deadlines.add(lambda: _expire_waiter(waiter), timeout))
         try:
             value = yield waiter
         except _DeadlineExpired:
@@ -426,65 +434,25 @@ class RpcChannel:
             self.faults += 1
             raise
         finally:
-            self._deadlines.cancel(guard)  # nothing stranded on reply
+            if guard is not None:
+                self._deadlines.cancel(guard)  # nothing stranded on reply
         return value
-
-    def _call_with_policy(self, method: str, args: Optional[dict],
-                          size: Optional[int], timeout: Optional[float],
-                          policy: RetryPolicy
-                          ) -> Generator[Event, Any, Any]:
-        """Guarded, retried call: each attempt is a fresh request id
-        under the policy's per-attempt timeout; timed-out attempts are
-        re-issued after the policy's backoff delay, budget permitting.
-        Connection loss is not retried here — the channel is dead and
-        the owner must reconnect."""
-        per_attempt = timeout if timeout is not None else policy.timeout
-        last_error: Optional[Exception] = None
-        for attempt in range(policy.attempts):
-            if attempt:
-                budget = policy.budget
-                if budget is not None and not budget.spend(self.sim.now):
-                    break
-                delay = policy.retry_delay(attempt, self._policy_jitter)
-                if delay > 0.0:
-                    yield self.sim.timeout(delay)
-                self.retries_sent += 1
-            try:
-                value = yield from self.call(method, args, size=size,
-                                             timeout=per_attempt)
-                return value
-            except RpcTimeout as exc:
-                last_error = exc
-        raise last_error
-
-    def _policy_jitter(self):
-        """Lazily-seeded jitter RNG (host-name keyed, deterministic)."""
-        rng = self._jitter_rng
-        if rng is None:
-            rng = self._jitter_rng = jitter_rng(self.host.name)
-        return rng
 
     def close(self) -> None:
         """Close the channel, failing any in-flight calls.
 
         Callers blocked in :meth:`call` without a timeout would
         otherwise wait forever once the dispatcher is gone; they
-        receive :class:`ConnectionClosed` instead.  The failures are
-        pre-defused so that calls whose waiting process has already
-        died (host crash) pass silently.
+        receive :class:`ConnectionClosed` instead.
         """
         self.conn.close()
         if self._dispatcher.alive:
             self._dispatcher.kill()
-        pending, self._pending = self._pending, {}
-        for waiter in pending.values():
-            if not waiter.triggered:
-                waiter.defuse()
-                waiter.fail(ConnectionClosed("channel closed"))
+        _fail_pending(self._pending, "channel closed")
 
 
 def call(src: Host, dst: Host, port: int, method: str,
-         args: Optional[dict] = None, size: Optional[int] = None,
+         args: Optional[dict] = None,
          channel_wrapper: Optional[Callable] = None,
          timeout: Optional[float] = None) -> Generator[Event, Any, Any]:
     """One-shot RPC: connect, call, close.
@@ -493,8 +461,7 @@ def call(src: Host, dst: Host, port: int, method: str,
     """
     channel = yield from RpcChannel.open(src, dst, port, channel_wrapper)
     try:
-        value = yield from channel.call(method, args, size=size,
-                                        timeout=timeout)
+        value = yield from channel.call(method, args, timeout=timeout)
     finally:
         channel.close()
     return value
@@ -544,22 +511,20 @@ class UdpRpcServer:
                 return
             request = datagram.payload
             request_id = request.get("id")
-            handler = self.handlers.get(request.get("method", ""))
+            method = request.get("method", "")
+            handler = self.handlers.get(method)
             ctx = RpcContext(src_host=datagram.src_host.name, transport="udp")
             if handler is None:
                 self._reply(datagram,
-                            {"id": request_id, "ok": False,
-                             "error": ("NoSuchMethod",
-                                       request.get("method", ""))})
+                            _fault_reply(request_id, "NoSuchMethod", method))
                 continue
             # Fast path: a plain-function handler cannot block, so it
             # is answered inline — no process spawn per request.
             try:
                 value = handler(ctx, request.get("args", {}))
             except Exception as exc:  # noqa: BLE001 - faults cross the wire
-                self._reply(datagram,
-                            {"id": request_id, "ok": False,
-                             "error": (type(exc).__name__, str(exc))})
+                self._reply(datagram, _fault_reply(
+                    request_id, type(exc).__name__, str(exc)))
                 continue
             if hasattr(value, "send"):  # generator: serve concurrently
                 self.host.spawn(self._serve_async(datagram, request_id,
@@ -573,8 +538,7 @@ class UdpRpcServer:
             value = yield from handler_gen
             reply = {"id": request_id, "ok": True, "value": value}
         except Exception as exc:  # noqa: BLE001
-            reply = {"id": request_id, "ok": False,
-                     "error": (type(exc).__name__, str(exc))}
+            reply = _fault_reply(request_id, type(exc).__name__, str(exc))
         self._reply(datagram, reply)
 
     def _reply(self, datagram, reply: dict) -> None:
@@ -667,13 +631,8 @@ class UdpRpcClient:
         """
         if self._socket.closed and self.host.up:
             self._socket = self.host.udp_socket()
-            orphans, self._pending = self._pending, {}
             self.host.spawn(self._dispatch_loop())
-            for waiter in orphans.values():
-                if not waiter.triggered:
-                    waiter.defuse()
-                    waiter.fail(
-                        ConnectionClosed("socket lost in host restart"))
+            _fail_pending(self._pending, "socket lost in host restart")
 
     def _dispatch_loop(self) -> Generator:
         while True:
@@ -681,15 +640,7 @@ class UdpRpcClient:
                 datagram = yield self._socket.recv()
             except TransportError:
                 return
-            reply = datagram.payload
-            waiter = self._pending.pop(reply.get("id"), None)
-            if waiter is None or waiter.triggered:
-                continue
-            if reply.get("ok"):
-                waiter.succeed(reply.get("value"))
-            else:
-                kind, message = reply.get("error", ("RpcError", "?"))
-                waiter.fail(RpcFault(kind, message))
+            _settle(self._pending, datagram.payload)
 
     def call(self, dst: Host, port: int, method: str,
              args: Optional[dict] = None

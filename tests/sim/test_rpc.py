@@ -26,11 +26,6 @@ def _echo_server(world, host, port=7000):
         return "slept"
 
     server.register("slow", slow)
-
-    def fails(ctx, args):
-        raise ValueError("deliberate")
-
-    server.register("fails", fails)
     server.start()
     return server
 
@@ -48,34 +43,45 @@ def test_one_shot_call(world):
     assert world.run_until(proc, limit=100) == "hi"
 
 
-def test_remote_fault_propagates(world):
+@pytest.mark.parametrize("handler", ["plain", "generator", "unknown"])
+@pytest.mark.parametrize("transport", ["tcp", "udp"])
+def test_remote_fault_propagates(world, transport, handler):
+    """Both servers answer the same handler shapes with the same fault:
+    a plain handler that raises, a generator handler that raises after
+    simulated work, and a method nobody registered."""
     a = world.host("client", "r0/c0/m0/s0")
     b = world.host("server", "r0/c0/m0/s1")
-    _echo_server(world, b)
+    if transport == "tcp":
+        server = RpcServer(b, 7000)
+    else:
+        server = UdpRpcServer(b, 5300)
+        udp_client = UdpRpcClient(a)
+
+    def plain(ctx, args):
+        raise ValueError("deliberate")
+
+    def generator(ctx, args):
+        yield world.sim.timeout(0.1)
+        raise ValueError("deliberate")
+
+    server.register("plain", plain)
+    server.register("generator", generator)
+    server.start()
 
     def client():
         try:
-            yield from rpc.call(a, b, 7000, "fails", {})
+            if transport == "tcp":
+                yield from rpc.call(a, b, 7000, handler, {})
+            else:
+                yield from udp_client.call(b, 5300, handler, {})
         except RpcFault as fault:
             return (fault.kind, fault.message)
 
     proc = a.spawn(client())
-    assert world.run_until(proc, limit=100) == ("ValueError", "deliberate")
-
-
-def test_unknown_method_fault(world):
-    a = world.host("client", "r0/c0/m0/s0")
-    b = world.host("server", "r0/c0/m0/s1")
-    _echo_server(world, b)
-
-    def client():
-        try:
-            yield from rpc.call(a, b, 7000, "nope", {})
-        except RpcFault as fault:
-            return fault.kind
-
-    proc = a.spawn(client())
-    assert world.run_until(proc, limit=100) == "NoSuchMethod"
+    expected = (("NoSuchMethod", "unknown") if handler == "unknown"
+                else ("ValueError", "deliberate"))
+    assert world.run_until(proc, limit=100) == expected
+    assert server.requests_served == 1  # a fault reply is a served request
 
 
 def test_channel_reuse_is_cheaper_than_reconnect(world):
@@ -196,11 +202,6 @@ def test_context_carries_source(world):
 def _udp_server(world, host, port=5300):
     server = UdpRpcServer(host, port)
     server.register("lookup", lambda ctx, args: {"found": args["key"].upper()})
-
-    def fails(ctx, args):
-        raise KeyError("missing")
-
-    server.register("fails", fails)
     server.start()
     return server
 
@@ -217,22 +218,6 @@ def test_udp_rpc_round_trip(world):
 
     proc = a.spawn(run())
     assert world.run_until(proc, limit=100) == {"found": "ABC"}
-
-
-def test_udp_rpc_fault(world):
-    a = world.host("client", "r0/c0/m0/s0")
-    b = world.host("node", "r0/c0/m0/s1")
-    _udp_server(world, b)
-    client = UdpRpcClient(a)
-
-    def run():
-        try:
-            yield from client.call(b, 5300, "fails", {})
-        except RpcFault as fault:
-            return fault.kind
-
-    proc = a.spawn(run())
-    assert world.run_until(proc, limit=100) == "KeyError"
 
 
 def test_udp_rpc_retries_through_loss(world):
@@ -419,7 +404,7 @@ def test_request_envelope_size_matches_live_walk():
     """The precomputed envelope constants must mirror encoded_size
     exactly — accounting (and so transfer delays) must not shift by a
     byte when the memoised path is used."""
-    from repro.sim.rpc import _request_base, _request_size
+    from repro.sim.rpc import _request_base
     from repro.sim.serde import encoded_size
 
     for method, src, args in [
@@ -430,8 +415,6 @@ def test_request_envelope_size_matches_live_walk():
     ]:
         request = {"id": 12345, "method": method, "args": args,
                    "src": src}
-        assert _request_size(method, src, encoded_size(args)) \
-            == encoded_size(request), (method, src, args)
         # The per-(client, method) memoised base must agree, on the
         # cold miss and on the cached probe alike.
         cache = {}
@@ -575,6 +558,33 @@ def test_udp_server_stop_mid_serve_is_not_counted(world):
     assert outcome == ["ok", "timed out"]
     # One reply actually went out (the quick call); the slow reply was
     # unsendable after stop() and must not count as served.
+    assert server.requests_served == 1
+
+
+def test_tcp_reply_to_crashed_caller_is_not_counted(world):
+    # Regression: RpcServer counted a request as served before sending
+    # its reply, so a reply whose caller had crashed still counted.
+    a = world.host("client", "r0/c0/m0/s0")
+    b = world.host("server", "r0/c0/m0/s1")
+    server = _echo_server(world, b)
+    outcome = []
+
+    def caller():
+        channel = yield from RpcChannel.open(a, b, 7000)
+        outcome.append((yield from channel.call("echo", {"text": "hi"})))
+        yield from channel.call("slow", {"delay": 1.0})
+        outcome.append("unreachable")
+
+    def crasher():
+        yield world.sim.timeout(0.5)
+        a.crash()
+
+    a.spawn(caller())
+    world.sim.process(crasher())
+    world.run()
+    assert outcome == ["hi"]
+    # One reply reached its caller; the slow reply found the
+    # connection gone and must not count as served.
     assert server.requests_served == 1
 
 
