@@ -6,6 +6,18 @@ been encoded".  This module is that encoding: a small, deterministic,
 self-describing binary format (tag + length + value) covering the value
 types DSO methods use.  Because payloads really are ``bytes``, the
 simulator's traffic accounting of invocation messages is exact.
+
+The encoder dispatches on the exact type first (``type(value) is
+str``, ``dict``, ``int``, ``bytes``, ``list``, ``tuple``) and writes
+tag, length and payload straight into the output buffer; dict keys
+that are exactly ``str`` are written inline.  Everything else —
+``None``, booleans, floats, subclasses such as ``IntEnum`` or
+``OrderedDict``, and values that cannot be encoded — goes through the
+general ``isinstance`` ladder in :func:`_encode_other`.  Both paths
+write the same bytes for the same value, so the wire format does not
+depend on which one ran.  The decoder tests the commonest tags first
+(str, bytes, int, dict) and raises :class:`MarshalError` on any
+malformed input, including a truncated header.
 """
 
 from __future__ import annotations
@@ -28,16 +40,13 @@ class MarshalError(Exception):
     """Raised on encoding/decoding failures."""
 
 
-_TAG_NONE = b"N"
-_TAG_TRUE = b"T"
-_TAG_FALSE = b"F"
-_TAG_INT = b"I"
-_TAG_FLOAT = b"D"
-_TAG_STR = b"S"
-_TAG_BYTES = b"B"
-_TAG_LIST = b"L"
-_TAG_TUPLE = b"U"
-_TAG_DICT = b"M"
+# One-byte type tags, as ints (``bytearray.append``, ``data[offset]``).
+_N, _T, _F, _I, _D, _S, _B, _L, _U, _M = b"NTFIDSBLUM"
+
+_pack_u32 = struct.Struct(">I").pack
+_pack_f64 = struct.Struct(">d").pack
+_unpack_u32 = struct.Struct(">I").unpack_from
+_unpack_f64 = struct.Struct(">d").unpack_from
 
 
 def pack(value: Any) -> bytes:
@@ -48,30 +57,85 @@ def pack(value: Any) -> bytes:
 
 
 def _encode(value: Any, out: bytearray) -> None:
+    kind = type(value)
+    if kind is str:
+        raw = value.encode("utf-8")
+        out.append(_S)
+        out += _pack_u32(len(raw))
+        out += raw
+    elif kind is dict:
+        out.append(_M)
+        out += _pack_u32(len(value))
+        # Sort keys for a canonical encoding (keys must be strings).
+        try:
+            items = sorted(value.items())
+        except TypeError as exc:
+            raise MarshalError("dict keys must be sortable strings") from exc
+        for key, item in items:
+            if type(key) is str:
+                raw = key.encode("utf-8")
+                out.append(_S)
+                out += _pack_u32(len(raw))
+                out += raw
+            elif isinstance(key, str):
+                _encode(key, out)
+            else:
+                raise MarshalError("dict keys must be str, got %r" % (key,))
+            _encode(item, out)
+    elif kind is int:
+        raw = value.to_bytes((value.bit_length() + 8) // 8 + 1, "big",
+                             signed=True)
+        out.append(_I)
+        out += _pack_u32(len(raw))
+        out += raw
+    elif kind is bytes:
+        out.append(_B)
+        out += _pack_u32(len(value))
+        out += value
+    elif kind is list or kind is tuple:
+        out.append(_L if kind is list else _U)
+        out += _pack_u32(len(value))
+        for item in value:
+            _encode(item, out)
+    else:
+        _encode_other(value, out)
+
+
+def _encode_other(value: Any, out: bytearray) -> None:
+    """The general encoder: ``None``, booleans, floats and subclasses of
+    the container and scalar types, which :func:`_encode` leaves to it."""
     if value is None:
-        out += _TAG_NONE
+        out.append(_N)
     elif value is True:
-        out += _TAG_TRUE
+        out.append(_T)
     elif value is False:
-        out += _TAG_FALSE
+        out.append(_F)
     elif isinstance(value, int):
         raw = value.to_bytes((value.bit_length() + 8) // 8 + 1, "big",
                              signed=True)
-        out += _TAG_INT + struct.pack(">I", len(raw)) + raw
+        out.append(_I)
+        out += _pack_u32(len(raw))
+        out += raw
     elif isinstance(value, float):
-        out += _TAG_FLOAT + struct.pack(">d", value)
+        out.append(_D)
+        out += _pack_f64(value)
     elif isinstance(value, str):
         raw = value.encode("utf-8")
-        out += _TAG_STR + struct.pack(">I", len(raw)) + raw
+        out.append(_S)
+        out += _pack_u32(len(raw))
+        out += raw
     elif isinstance(value, bytes):
-        out += _TAG_BYTES + struct.pack(">I", len(value)) + value
+        out.append(_B)
+        out += _pack_u32(len(value))
+        out += value
     elif isinstance(value, (list, tuple)):
-        tag = _TAG_LIST if isinstance(value, list) else _TAG_TUPLE
-        out += tag + struct.pack(">I", len(value))
+        out.append(_L if isinstance(value, list) else _U)
+        out += _pack_u32(len(value))
         for item in value:
             _encode(item, out)
     elif isinstance(value, dict):
-        out += _TAG_DICT + struct.pack(">I", len(value))
+        out.append(_M)
+        out += _pack_u32(len(value))
         # Sort keys for a canonical encoding (keys must be strings).
         try:
             items = sorted(value.items())
@@ -88,56 +152,76 @@ def _encode(value: Any, out: bytearray) -> None:
 
 def unpack(data: bytes) -> Any:
     """Decode a value previously produced by :func:`pack`."""
-    value, offset = _decode(data, 0)
+    try:
+        value, offset = _decode(data, 0)
+    except (IndexError, struct.error) as exc:
+        # A tag, length, count or float header runs past the end.
+        raise MarshalError("truncated message") from exc
+    except UnicodeDecodeError as exc:
+        raise MarshalError("string is not UTF-8") from exc
+    except RecursionError as exc:
+        raise MarshalError("containers nested too deeply") from exc
     if offset != len(data):
         raise MarshalError("trailing garbage after value")
     return value
 
 
 def _decode(data: bytes, offset: int) -> Tuple[Any, int]:
-    if offset >= len(data):
-        raise MarshalError("truncated message")
-    tag = data[offset:offset + 1]
+    """Decode one value at ``offset``; return it and the next offset.
+
+    Reading past the end raises ``IndexError`` or ``struct.error``,
+    which :func:`unpack` turns into :class:`MarshalError`.
+    """
+    tag = data[offset]
     offset += 1
-    if tag == _TAG_NONE:
-        return None, offset
-    if tag == _TAG_TRUE:
-        return True, offset
-    if tag == _TAG_FALSE:
-        return False, offset
-    if tag == _TAG_FLOAT:
-        (value,) = struct.unpack_from(">d", data, offset)
-        return value, offset + 8
-    if tag in (_TAG_INT, _TAG_STR, _TAG_BYTES):
-        (length,) = struct.unpack_from(">I", data, offset)
+    if tag == _S or tag == _B or tag == _I:
+        (length,) = _unpack_u32(data, offset)
         offset += 4
-        raw = data[offset:offset + length]
+        end = offset + length
+        raw = data[offset:end]
         if len(raw) != length:
             raise MarshalError("truncated payload")
-        offset += length
-        if tag == _TAG_INT:
-            return int.from_bytes(raw, "big", signed=True), offset
-        if tag == _TAG_STR:
-            return raw.decode("utf-8"), offset
-        return raw, offset
-    if tag in (_TAG_LIST, _TAG_TUPLE):
-        (count,) = struct.unpack_from(">I", data, offset)
+        if tag == _S:
+            return raw.decode("utf-8"), end
+        if tag == _B:
+            return raw, end
+        return int.from_bytes(raw, "big", signed=True), end
+    if tag == _M:
+        (count,) = _unpack_u32(data, offset)
+        offset += 4
+        result = {}
+        for _ in range(count):
+            if data[offset] != _S:
+                raise MarshalError("dict key at offset %d is not a str"
+                                   % offset)
+            (length,) = _unpack_u32(data, offset + 1)
+            offset += 5
+            end = offset + length
+            raw = data[offset:end]
+            if len(raw) != length:
+                raise MarshalError("truncated payload")
+            key = raw.decode("utf-8")
+            result[key], offset = _decode(data, end)
+        return result, offset
+    if tag == _L or tag == _U:
+        (count,) = _unpack_u32(data, offset)
         offset += 4
         items = []
         for _ in range(count):
             item, offset = _decode(data, offset)
             items.append(item)
-        return (items if tag == _TAG_LIST else tuple(items)), offset
-    if tag == _TAG_DICT:
-        (count,) = struct.unpack_from(">I", data, offset)
-        offset += 4
-        result = {}
-        for _ in range(count):
-            key, offset = _decode(data, offset)
-            value, offset = _decode(data, offset)
-            result[key] = value
-        return result, offset
-    raise MarshalError("unknown tag %r at offset %d" % (tag, offset - 1))
+        return (items if tag == _L else tuple(items)), offset
+    if tag == _N:
+        return None, offset
+    if tag == _T:
+        return True, offset
+    if tag == _F:
+        return False, offset
+    if tag == _D:
+        (value,) = _unpack_f64(data, offset)
+        return value, offset + 8
+    raise MarshalError("unknown tag %r at offset %d"
+                       % (data[offset - 1:offset], offset - 1))
 
 
 def marshal_invocation(method: str, args: dict) -> bytes:

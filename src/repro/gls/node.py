@@ -29,7 +29,8 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..core.ids import ObjectId
-from ..sim.rpc import RpcContext, UdpRpcClient, UdpRpcServer
+from ..sim import rpc
+from ..sim.rpc import RpcContext, RpcServer, UdpRpcClient, UdpRpcServer
 from ..sim.stable import DiskStore, StableStore
 from ..sim.topology import Domain, Level
 from ..sim.transport import Host
@@ -79,6 +80,20 @@ class NodeHandle:
     def __repr__(self) -> str:
         return ("NodeHandle(%r, %d subnode(s))"
                 % (self.domain_path or "<root>", len(self.endpoints)))
+
+
+def directory_call(transport: str, host: Host,
+                   client: Optional[UdpRpcClient], target: Host, port: int,
+                   method: str, args: dict) -> Generator[Any, Any, Any]:
+    """One request from ``host`` to the directory node at ``target``:
+    a one-shot connection when the tree runs over ``"tcp"``, otherwise a
+    datagram exchange through ``client`` (paper §6.3).
+
+    ``value = yield from directory_call(...)``; the caller maps errors.
+    """
+    if transport == "tcp":
+        return rpc.call(host, target, port, method, args)
+    return client.call(target, port, method, args)
 
 
 class DirectoryNode:
@@ -150,7 +165,6 @@ class DirectoryNode:
         if self.transport == "udp":
             server = UdpRpcServer(self.host, self.port)
         else:
-            from ..sim.rpc import RpcServer
             server = RpcServer(self.host, self.port)
         server.register("lookup", self._handle_lookup)
         server.register("lookup_down", self._handle_lookup_down)
@@ -191,12 +205,9 @@ class DirectoryNode:
             target = self.world.hosts[host_name]
         except KeyError:
             raise GlsNodeError("unknown directory host %r" % host_name)
-        if self.transport == "tcp":
-            from ..sim import rpc as _rpc
-            value = yield from _rpc.call(self.host, target, port, method,
-                                         args)
-        else:
-            value = yield from self._client.call(target, port, method, args)
+        value = yield from directory_call(self.transport, self.host,
+                                          self._client, target, port,
+                                          method, args)
         return value
 
     def _persist(self, oid_hex: str) -> Generator:

@@ -18,7 +18,7 @@ from ..sim.topology import Topology
 from ..sim.transport import Host
 from ..sim.world import World
 from .auth import sign_mutation
-from .node import NodeHandle
+from .node import NodeHandle, directory_call
 from .tree import GlsTree
 
 __all__ = ["GlsClient", "GlsError"]
@@ -61,13 +61,9 @@ class GlsClient:
         host_name, port = handle.pick(oid_hex)
         target = self.world.hosts[host_name]
         try:
-            if self.transport == "tcp":
-                from ..sim import rpc as _rpc
-                value = yield from _rpc.call(self.host, target, port,
-                                             method, args)
-            else:
-                value = yield from self._client.call(target, port, method,
-                                                     args)
+            value = yield from directory_call(self.transport, self.host,
+                                              self._client, target, port,
+                                              method, args)
         except RpcFault as fault:
             raise GlsError("%s failed: %s" % (method, fault.message))
         return value

@@ -42,8 +42,10 @@ def normalize_name(name: str) -> str:
     for label in labels:
         if not label or len(label) > 63:
             raise DnsError("bad DNS label in %r" % name)
-        # Paper §5: DNS restricts name syntax; enforce it here.
-        if not all(c.isalnum() or c == "-" for c in label):
+        # Paper §5: DNS restricts name syntax to letters, digits and
+        # hyphens; enforce it here.  An all-hyphen label passes.
+        rest = label.replace("-", "")
+        if rest and not rest.isalnum():
             raise DnsError("illegal character in DNS label %r" % label)
     if len(name) > 253:
         raise DnsError("DNS name too long: %r" % name)

@@ -29,7 +29,7 @@ def sha256(data: bytes) -> bytes:
 
 
 def hmac_sha256(key: bytes, data: bytes) -> bytes:
-    return _hmac.new(key, data, hashlib.sha256).digest()
+    return _hmac.digest(key, data, "sha256")
 
 
 # -- prime generation ----------------------------------------------------------

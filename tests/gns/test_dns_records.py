@@ -1,6 +1,8 @@
 """Unit tests for DNS names, records and zones."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.gns.dns.records import (DnsError, ResourceRecord, RRType,
                                    is_subdomain, name_labels, normalize_name,
@@ -26,6 +28,68 @@ def test_bad_labels_rejected():
         normalize_name("x" * 64 + ".nl")
     with pytest.raises(DnsError):
         normalize_name("a..b")
+
+
+def _reference_normalize_name(name: str) -> str:
+    """The per-character label check ``normalize_name`` used to run."""
+    name = name.strip().lower().strip(".")
+    if not name:
+        return ""
+    labels = name.split(".")
+    for label in labels:
+        if not label or len(label) > 63:
+            raise DnsError("bad DNS label in %r" % name)
+        # Paper §5: DNS restricts name syntax; enforce it here.
+        if not all(c.isalnum() or c == "-" for c in label):
+            raise DnsError("illegal character in DNS label %r" % label)
+    if len(name) > 253:
+        raise DnsError("DNS name too long: %r" % name)
+    return ".".join(labels)
+
+
+_NAME_CHARS = "aZ09éÉ٠-_. "
+_labels = (st.text(alphabet=_NAME_CHARS.replace(".", ""), max_size=8)
+           | st.sampled_from(["-", "--", "-a-", "٠-٩"])
+           | st.tuples(st.sampled_from([62, 63, 64]),
+                       st.sampled_from("a-é٠_")).map(lambda nc: nc[1] * nc[0]))
+
+
+def _long_name(length: int, char: str) -> str:
+    """A name of exactly ``length`` characters in labels of at most 63."""
+    labels = []
+    while length > 64:
+        labels.append(char * 63)
+        length -= 64
+    return ".".join(labels + [char * length])
+
+
+_names = (st.text(alphabet=_NAME_CHARS, max_size=24)
+          | st.lists(_labels, max_size=5).map(".".join)
+          | st.tuples(st.sampled_from([252, 253, 254]),
+                      st.sampled_from("aÉ-٠_")).map(
+                          lambda nc: _long_name(*nc)))
+
+
+def _normalized_or_error(function, name):
+    try:
+        return ("ok", function(name))
+    except DnsError as exc:
+        return ("error", str(exc))
+
+
+@given(_names)
+def test_normalize_name_matches_per_character_check(name):
+    assert (_normalized_or_error(normalize_name, name)
+            == _normalized_or_error(_reference_normalize_name, name))
+
+
+def test_normalize_name_edge_lengths():
+    assert normalize_name("a" * 63) == "a" * 63
+    assert normalize_name("---.nl") == "---.nl"
+    assert normalize_name("café.٠١.nl") == "café.٠١.nl"
+    assert len(normalize_name(_long_name(253, "a"))) == 253
+    with pytest.raises(DnsError):
+        normalize_name(_long_name(254, "a"))
 
 
 def test_subdomain_relation():
