@@ -26,11 +26,11 @@ forwarding pointers from the root node" with shared suffixes.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+import functools
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..core.ids import ObjectId
 from ..sim import rpc
-from ..sim.rpc import RpcContext, RpcServer, UdpRpcClient, UdpRpcServer
 from ..sim.stable import DiskStore, StableStore
 from ..sim.topology import Domain, Level
 from ..sim.transport import Host
@@ -82,20 +82,6 @@ class NodeHandle:
                 % (self.domain_path or "<root>", len(self.endpoints)))
 
 
-def directory_call(transport: str, host: Host,
-                   client: Optional[UdpRpcClient], target: Host, port: int,
-                   method: str, args: dict) -> Generator[Any, Any, Any]:
-    """One request from ``host`` to the directory node at ``target``:
-    a one-shot connection when the tree runs over ``"tcp"``, otherwise a
-    datagram exchange through ``client`` (paper §6.3).
-
-    ``value = yield from directory_call(...)``; the caller maps errors.
-    """
-    if transport == "tcp":
-        return rpc.call(host, target, port, method, args)
-    return client.call(target, port, method, args)
-
-
 class DirectoryNode:
     """One directory (sub)node: records, pointers, and the protocol."""
 
@@ -123,8 +109,11 @@ class DirectoryNode:
             world, disk if disk is not None else DiskStore(), host.name,
             namespace="gls:%s:%d" % (domain.path, index))
         self._rng = world.rng_for("gls-node-%s-%d" % (domain.path, index))
-        self._server: Optional[UdpRpcServer] = None
-        self._client: Optional[UdpRpcClient] = None
+        self._server: Optional[rpc.UdpRpcServer] = None
+        self._client: Optional[rpc.UdpRpcClient] = None
+        #: ``_remote(target, port, method, args)``: one request to another
+        #: directory node, over the tree's transport; set by :meth:`start`.
+        self._remote: Optional[Callable[..., Generator]] = None
         # Load counters (experiment E6 reads these; exposed to the
         # world registry through bind_metrics).
         self.lookups_handled = 0
@@ -163,9 +152,9 @@ class DirectoryNode:
 
     def start(self) -> None:
         if self.transport == "udp":
-            server = UdpRpcServer(self.host, self.port)
+            server = rpc.UdpRpcServer(self.host, self.port)
         else:
-            server = RpcServer(self.host, self.port)
+            server = rpc.RpcServer(self.host, self.port)
         server.register("lookup", self._handle_lookup)
         server.register("lookup_down", self._handle_lookup_down)
         server.register("insert", self._handle_insert)
@@ -175,8 +164,14 @@ class DirectoryNode:
         server.register("stats", self._handle_stats)
         server.start()
         self._server = server
-        self._client = UdpRpcClient(self.host, timeout=_NODE_RPC_TIMEOUT,
-                                    retries=_NODE_RPC_RETRIES)
+        if self.transport == "udp":
+            self._client = rpc.UdpRpcClient(self.host,
+                                            timeout=_NODE_RPC_TIMEOUT,
+                                            retries=_NODE_RPC_RETRIES)
+            self._remote = self._client.call
+        else:
+            # A one-shot connection per request (ablation A3).
+            self._remote = functools.partial(rpc.call, self.host)
 
     def stop(self) -> None:
         if self._server is not None:
@@ -205,9 +200,7 @@ class DirectoryNode:
             target = self.world.hosts[host_name]
         except KeyError:
             raise GlsNodeError("unknown directory host %r" % host_name)
-        value = yield from directory_call(self.transport, self.host,
-                                          self._client, target, port,
-                                          method, args)
+        value = yield from self._remote(target, port, method, args)
         return value
 
     def _persist(self, oid_hex: str) -> Generator:
@@ -219,7 +212,7 @@ class DirectoryNode:
 
     # -- lookup ---------------------------------------------------------------
 
-    def _handle_lookup(self, ctx: RpcContext, args: dict) -> Generator:
+    def _handle_lookup(self, ctx: rpc.RpcContext, args: dict) -> Generator:
         """Walk-up phase of a resolution (paper §3.5)."""
         self.lookups_handled += 1
         oid_hex = args["oid"]
@@ -242,7 +235,8 @@ class DirectoryNode:
             return reply
         return {"cas": [], "hops": hops, "found": None, "found_level": None}
 
-    def _handle_lookup_down(self, ctx: RpcContext, args: dict) -> Generator:
+    def _handle_lookup_down(self, ctx: rpc.RpcContext, args: dict
+                            ) -> Generator:
         """Walk-down phase: follow the tree of forwarding pointers."""
         self.lookups_handled += 1
         oid_hex = args["oid"]
@@ -270,7 +264,7 @@ class DirectoryNode:
 
     # -- insert ----------------------------------------------------------------
 
-    def _handle_insert(self, ctx: RpcContext, args: dict) -> Generator:
+    def _handle_insert(self, ctx: rpc.RpcContext, args: dict) -> Generator:
         """Store a contact address (at this level or further up).
 
         ``store_level`` implements §3.5's mobile-object optimisation:
@@ -300,7 +294,7 @@ class DirectoryNode:
         return {"stored_at": self.domain.path,
                 "stored_level": int(self.level)}
 
-    def _handle_insert_pointer(self, ctx: RpcContext, args: dict
+    def _handle_insert_pointer(self, ctx: rpc.RpcContext, args: dict
                                ) -> Generator:
         self.pointer_updates += 1
         oid_hex = args["oid"]
@@ -321,7 +315,7 @@ class DirectoryNode:
 
     # -- delete -----------------------------------------------------------------
 
-    def _handle_delete(self, ctx: RpcContext, args: dict) -> Generator:
+    def _handle_delete(self, ctx: rpc.RpcContext, args: dict) -> Generator:
         oid_hex = args["oid"]
         ca_wire = args["ca"]
         if not verify_mutation(self.auth_key, "delete", oid_hex, ca_wire,
@@ -350,7 +344,7 @@ class DirectoryNode:
             return reply
         return {"removed": False}
 
-    def _handle_delete_pointer(self, ctx: RpcContext, args: dict
+    def _handle_delete_pointer(self, ctx: rpc.RpcContext, args: dict
                                ) -> Generator:
         self.pointer_updates += 1
         oid_hex = args["oid"]
@@ -372,7 +366,7 @@ class DirectoryNode:
 
     # -- introspection ------------------------------------------------------------
 
-    def _handle_stats(self, ctx: RpcContext, args: dict) -> dict:
+    def _handle_stats(self, ctx: rpc.RpcContext, args: dict) -> dict:
         return {
             "path": self.domain.path,
             "index": self.index,

@@ -10,15 +10,16 @@ object identifier on first registration.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Dict, Generator, List, Optional
 
 from ..core.ids import ObjectId
-from ..sim.rpc import RpcFault, UdpRpcClient
+from ..sim import rpc
 from ..sim.topology import Topology
 from ..sim.transport import Host
 from ..sim.world import World
 from .auth import sign_mutation
-from .node import NodeHandle, directory_call
+from .node import NodeHandle
 from .tree import GlsTree
 
 __all__ = ["GlsClient", "GlsError"]
@@ -48,10 +49,16 @@ class GlsClient:
         self.host = host
         self.tree = tree
         self.auth_key = auth_key
-        self.transport = tree.transport
         self.leaf: NodeHandle = tree.leaf_handle(host.site)
-        self._client = UdpRpcClient(host, timeout=UDP_TIMEOUT,
-                                    retries=UDP_RETRIES, policy=retry_policy)
+        self._client: Optional[rpc.UdpRpcClient] = None
+        if tree.transport == "udp":
+            self._client = rpc.UdpRpcClient(host, timeout=UDP_TIMEOUT,
+                                            retries=UDP_RETRIES,
+                                            policy=retry_policy)
+            self._remote = self._client.call
+        else:
+            # A one-shot connection per request (ablation A3).
+            self._remote = functools.partial(rpc.call, host)
         self._rng = world.rng_for("gls-client-%s" % host.name)
         self.lookups = 0
         self.registrations = 0
@@ -61,10 +68,8 @@ class GlsClient:
         host_name, port = handle.pick(oid_hex)
         target = self.world.hosts[host_name]
         try:
-            value = yield from directory_call(self.transport, self.host,
-                                              self._client, target, port,
-                                              method, args)
-        except RpcFault as fault:
+            value = yield from self._remote(target, port, method, args)
+        except rpc.RpcFault as fault:
             raise GlsError("%s failed: %s" % (method, fault.message))
         return value
 
@@ -127,4 +132,5 @@ class GlsClient:
         yield from self._call(self.leaf, oid_hex, "delete", args)
 
     def close(self) -> None:
-        self._client.close()
+        if self._client is not None:
+            self._client.close()
