@@ -10,18 +10,17 @@ simulator's traffic accounting of invocation messages is exact.
 The encoder dispatches on the exact type of a value and writes tag,
 length and payload straight into the output buffer.  Its tests run in
 the order of how often one round of each perfbench workload packs each
-type: ``str``, ``dict``, ``int``, ``bytes``, ``list``/``tuple``, then
-``True`` (the ``"ok"`` flag of reply envelopes that TLS MACs), ``None``,
-``False`` and ``float``, which no workload packs.  Dict keys are over
-40% of the values packed and unpacked, so a key that is exactly ``str``
-is written and read inline instead of through a recursive call.  A value
-of a subclass, such as an ``IntEnum`` or an ``OrderedDict``, is first
-turned into its exact base type by :func:`_as_base`, so the wire format
-does not depend on the Python type.  The decoder tests ``str`` (about
-two thirds of the tags read, keys included), ``int`` and ``bytes``
-first, as they share one length header, then dict, list/tuple and the
-one-byte tags, and raises :class:`MarshalError` on any malformed input,
-including a truncated header.
+type: ``str`` (dict keys included, about two thirds of all values),
+``dict``, ``int``, ``bytes``, ``list``/``tuple``, then ``True`` (the
+``"ok"`` flag of reply envelopes that TLS MACs), ``None``, ``False``
+and ``float``, which no workload packs.  A value of a subclass, such as
+an ``IntEnum`` or an ``OrderedDict``, is first turned into its exact
+base type by :func:`_as_base`, so each encoding rule is written once
+and the wire format does not depend on the Python type.  The decoder
+tests ``str``, ``int`` and ``bytes`` first, as they share one length
+header and ``str`` alone is about two thirds of the tags read, then
+dict, list/tuple and the one-byte tags; it raises :class:`MarshalError`
+on any malformed input, including a truncated header.
 """
 
 from __future__ import annotations
@@ -76,15 +75,9 @@ def _encode(value: Any, out: bytearray) -> None:
         except TypeError as exc:
             raise MarshalError("dict keys must be sortable strings") from exc
         for key, item in items:
-            if type(key) is str:
-                raw = key.encode("utf-8")
-                out.append(_S)
-                out += _pack_u32(len(raw))
-                out += raw
-            elif isinstance(key, str):
-                _encode(key, out)
-            else:
+            if not isinstance(key, str):
                 raise MarshalError("dict keys must be str, got %r" % (key,))
+            _encode(key, out)
             _encode(item, out)
     elif kind is int:
         raw = value.to_bytes((value.bit_length() + 8) // 8 + 1, "big",
@@ -176,16 +169,10 @@ def _decode(data: bytes, offset: int) -> Tuple[Any, int]:
         offset += 4
         result = {}
         for _ in range(count):
-            if data[offset] != _S:
+            key, end = _decode(data, offset)
+            if type(key) is not str:
                 raise MarshalError("dict key at offset %d is not a str"
                                    % offset)
-            (length,) = _unpack_u32(data, offset + 1)
-            offset += 5
-            end = offset + length
-            raw = data[offset:end]
-            if len(raw) != length:
-                raise MarshalError("truncated payload")
-            key = raw.decode("utf-8")
             result[key], offset = _decode(data, end)
         return result, offset
     if tag == _L or tag == _U:
